@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -132,8 +134,17 @@ def cache_file_name(q: int, seed: int) -> str:
 
 def save_eigendata(path: str | Path, q: int, seed: int, n_max: int,
                    tables: list[EigenformTable]) -> None:
-    text = _cache_json(q, len(tables), seed, n_max, tables)
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    """Write the canonical cache file atomically: the text goes to a temp file
+    in the target directory, which os.replace then moves onto path, so readers
+    and concurrent writers never see a partial file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        tmp.write_text(_cache_json(q, len(tables), seed, n_max, tables),
+                       encoding="utf-8", newline="\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_eigendata(path: str | Path) -> tuple[int, int, int, int, list[EigenformTable]]:

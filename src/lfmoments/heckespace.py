@@ -19,8 +19,8 @@ Hecke operators act two ways, and the routes cross-check each other:
     (hecke_matrix), used for small primes, the eigen-split combination,
     and every exact-arithmetic invariant (commutativity, star = +1);
   * a linear-time path route for eigenvalues at large primes: a dual
-    eigenvector is evaluated on T_l applied to a fixed base path, with the
-    image paths expanded into Manin symbols by continued fractions
+    eigenvector is evaluated on T_l applied to one of two base paths, with
+    the image paths expanded into Manin symbols by continued fractions
     (Manin's trick).  This is the same Heilbronn-matrix action, unrolled.
 
 Eigenvalues are stored in the normalization lambda_f(n) = a_n / sqrt(n),
@@ -36,11 +36,6 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.special import exp1, gammaincc
-
-try:
-    from numba import njit as _njit
-except ImportError:  # pragma: no cover - numba is an optional accelerator
-    _njit = None
 
 from .special import is_prime, primes_up_to
 
@@ -467,7 +462,6 @@ class EigenformTable:
     sign: int
     residual: float
     dual_vector: np.ndarray | None = None   # normalized functional on P^1 symbols
-    base_symbol: int = -1
     _full: np.ndarray | None = None
 
     def lam(self, n: int) -> float:
@@ -492,8 +486,7 @@ class EigenformTable:
         return EigenformTable(
             q=self.q, index=self.index, n_max=self.n_max, primes=self.primes,
             prime_lambda=self.prime_lambda, sign=sign, residual=self.residual,
-            dual_vector=self.dual_vector, base_symbol=self.base_symbol,
-            _full=self._full,
+            dual_vector=self.dual_vector, _full=self._full,
         )
 
 
@@ -596,115 +589,34 @@ def _cf_accumulate_py(num, den, wt, q, inv, acc):
         sgn = -sgn
 
 
-def _cf_accumulate_scalar(num, den, wt, q, inv, acc):  # compiled by numba when present
-    for i in range(num.shape[0]):
-        n = num[i]
-        d = den[i]
-        w = wt[i]
-        acc[0] += w
-        qprev = 0
-        qcur = 1
-        a = n // d
-        n, d = d, n - a * d
-        sgn = 1
-        while d != 0:
-            a = n // d
-            n, d = d, n - a * d
-            qnew = a * qcur + qprev
-            u = qnew % q
-            v = (sgn * qcur) % q
-            if v < 0:
-                v += q
-            if u == 0:
-                acc[q] += w
-            else:
-                acc[(inv[u] * v) % q] += w
-            qprev = qcur
-            qcur = qnew
-            sgn = -sgn
+def _path_accumulators(space: HeckeSpace, ell: int, v: int | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Weights on P^1 symbols with  a_ell d[(0:1)] = d . acc0  and
+    a_ell d[(1:v)] = d . accv  for every cuspidal dual eigenvector d.
 
-
-if _njit is not None:
-    _cf_accumulate_fast = _njit(cache=True, nogil=True)(_cf_accumulate_scalar)
-else:  # pragma: no cover
-    _cf_accumulate_fast = None
-
-
-def _path_hecke_accumulator(space: HeckeSpace, base_index: int, ell: int, use_fast: bool = True) -> np.ndarray:
-    """Weights w on P^1 symbols with  a_ell * v[base] = sum_i w_i v[i]
-    for every cuspidal dual eigenvector v.
-
-    Expands T_ell applied to the base symbol's path into Manin symbols via
-    continued fractions (Manin's trick), over the 2*ell (+2) image paths.
+    T_ell maps the endpoint 0 to the paths {oo, k/ell}, 0 <= k < ell, and,
+    for ell != q, {oo, 0}.  In the plus-quotient {oo, (ell-k)/ell} equals
+    {oo, -k/ell} (translate by 1, then apply eta), so only 1 <= k <= ell/2
+    is expanded, with weight 2; the two paths to 0 touch only (1:0).  The
+    base (0:1) is the path {0, oo}; the base (1:v) is {-1/v, 0}, whose image
+    also subtracts the paths to (k v - 1)/(v ell) and, for ell != q, -ell/v.
+    accv is None when v is None.
     """
     q = space.q
-    # base path {alpha, beta} for the symbol's standard lift
-    if base_index == q:        # (0:1), path {0, oo}
-        alpha, beta = (0, 1), None
-    elif base_index == 0:      # (1:0), path {oo, 0}
-        alpha, beta = None, (0, 1)
-    else:                      # (1:v), lift [[0,-1],[1,v]], path {-1/v, 0}
-        alpha, beta = (-1, base_index), (0, 1)
-
-    nums, dens, wts = [], [], []
-
-    def add_endpoint(pt, w):
-        if pt is None:
-            return
-        an, ad = pt
-        ks = np.arange(ell, dtype=np.int64)
-        nums.append(an + ks * ad)
-        dens.append(np.full(ell, ad * ell, dtype=np.int64))
-        wts.append(np.full(ell, w, dtype=np.float64))
-        if ell != q:  # the [[l,0],[0,1]] coset is absent for U_q
-            nums.append(np.array([ell * an], dtype=np.int64))
-            dens.append(np.array([ad], dtype=np.int64))
-            wts.append(np.array([float(w)], dtype=np.float64))
-
-    add_endpoint(beta, +1.0)
-    add_endpoint(alpha, -1.0)
-    num = np.concatenate(nums)
-    den = np.concatenate(dens)
-    wt = np.concatenate(wts)
-
-    acc = np.zeros(q + 1, dtype=np.float64)
-    if use_fast and _cf_accumulate_fast is not None:
-        _cf_accumulate_fast(num, den, wt, q, space.inv_table, acc)
-    else:
-        _cf_accumulate_py(num, den, wt, q, space.inv_table, acc)
-    return acc
-
-
-def _choose_base_symbols(space: HeckeSpace, duals: np.ndarray, threshold: float = 0.1) -> tuple[list[int], np.ndarray]:
-    """Small set of base symbols covering every form's dual vector.
-
-    duals is (n_forms, q+1), each row sup-normalized.  Returns the chosen
-    symbol indices and, per form, the position of its assigned base.
-    """
-    q = space.q
-    candidates = [q, 1]  # (0:1) then (1:1); short continued fractions
-    chosen: list[int] = []
-    assign = np.full(duals.shape[0], -1, dtype=np.int64)
-    for cand in candidates:
-        need = assign < 0
-        if not need.any():
-            break
-        good = need & (np.abs(duals[:, cand]) >= threshold)
-        if good.any():
-            if cand not in chosen:
-                chosen.append(cand)
-            assign[good] = chosen.index(cand)
-    while (assign < 0).any():
-        f = int(np.nonzero(assign < 0)[0][0])
-        cand = int(np.argmax(np.abs(duals[f])))
-        if cand not in chosen:
-            chosen.append(cand)
-        pos = chosen.index(cand)
-        covered = (assign < 0) & (np.abs(duals[:, cand]) >= threshold)
-        assign[covered] = pos
-        if assign[f] < 0:
-            assign[f] = pos  # argmax row: |dual| = 1 there by normalization
-    return chosen, assign
+    ks = np.arange(1, ell // 2 + 1, dtype=np.int64)
+    fold = np.zeros(q + 1, dtype=np.float64)
+    fold[0] = 2.0 if ell != q else 1.0
+    _cf_accumulate_py(ks, np.full(ks.size, ell, dtype=np.int64),
+                      np.where(2 * ks == ell, 1.0, 2.0), q, space.inv_table, fold)
+    if v is None:
+        return -fold, None
+    num = np.arange(ell, dtype=np.int64) * v - 1
+    den = np.full(ell, v * ell, dtype=np.int64)
+    if ell != q:  # the [[l,0],[0,1]] coset is absent for U_q
+        num = np.append(num, -ell)
+        den = np.append(den, v)
+    accv = fold.copy()
+    _cf_accumulate_py(num, den, np.full(num.size, -1.0), q, space.inv_table, accv)
+    return -fold, accv
 
 
 def eigen_split(space: HeckeSpace, seed: int = 0) -> list[EigenformTable]:
@@ -712,18 +624,23 @@ def eigen_split(space: HeckeSpace, seed: int = 0) -> list[EigenformTable]:
 
     Diagonalizes a seeded random positive combination c2 T2 + c3 T3 + c5 T5
     numerically; the Eisenstein line (strictly largest eigenvalue, Deligne)
-    is dropped.  Eigenvalue collisions below 1e-6 trigger a redraw, up to
-    ten times.  Tables carry lambda at p in {2,3,5} only; use
-    extend_prime_eigenvalues for the rest.
+    is dropped.  An eigenvalue collision below 1e-6 adds T7 and T11 to the
+    combination for the following draws (two forms at q=1201 share a_2, a_3
+    and a_5); other failures redraw, up to ten draws in all.  Forms are
+    ordered by lambda at the primes of the combination: forms that tie at
+    2, 3 and 5 collide, so 7 and 11 are in the key whenever they can matter.
+    Tables carry lambda at p in {2,3,5} only; use extend_prime_eigenvalues
+    for the rest.
     """
     if space.dim == 0:
         return []
-    t_float = {n: _quotient_matrix_float(space, n) for n in (2, 3, 5)}
+    ops = (2, 3, 5)
     rng = np.random.default_rng(seed)
     last_err = ""
     for _ in range(10):
-        c = rng.integers(1, 101, size=3)
-        amat = c[0] * t_float[2] + c[1] * t_float[3] + c[2] * t_float[5]
+        t_float = {n: _quotient_matrix_float(space, n) for n in ops}  # cached on the space
+        c = rng.integers(1, 101, size=len(ops))
+        amat = sum(ci * tn for ci, tn in zip(c, t_float.values()))
         evals, wvecs = np.linalg.eig(amat)
         evalsl, uvecs = np.linalg.eig(amat.T)
         scale = float(np.max(np.abs(evals)))
@@ -736,7 +653,8 @@ def eigen_split(space: HeckeSpace, seed: int = 0) -> list[EigenformTable]:
         cusp_idx = [i for i in range(len(ev)) if i != eis]
         gaps = np.diff(np.sort(np.concatenate([ev[cusp_idx], [ev[eis]]])))
         if len(gaps) and float(np.min(gaps)) < 1e-6:
-            last_err = f"eigenvalue gap {float(np.min(gaps)):.2e}"
+            last_err = f"eigenvalue gap {float(np.min(gaps)):.2e} with T2..T{ops[-1]}"
+            ops = (2, 3, 5, 7, 11)
             continue
         order_l = np.argsort(evl)
         order_r = np.argsort(ev)
@@ -749,8 +667,7 @@ def eigen_split(space: HeckeSpace, seed: int = 0) -> list[EigenformTable]:
             w = wvecs[:, i].real
             u = uvecs[:, pair_of[i]].real
             dual = u @ space.R
-            jmax = int(np.argmax(np.abs(dual)))
-            dual = dual / dual[jmax]
+            dual = dual / dual[int(np.argmax(np.abs(dual)))]
             # classical a_n by two-sided Rayleigh quotient against exact T_n
             denom = float(u @ w)
             if abs(denom) < 1e-10 * float(np.linalg.norm(u) * np.linalg.norm(w)):
@@ -759,21 +676,21 @@ def eigen_split(space: HeckeSpace, seed: int = 0) -> list[EigenformTable]:
                 break
             lam = {}
             residual = 0.0
-            for n in (2, 3, 5):
-                a_n = float(u @ t_float[n] @ w) / denom
+            for n, tn in t_float.items():
+                a_n = float(u @ tn @ w) / denom
                 lam[n] = a_n / math.sqrt(n)
                 residual = max(
                     residual,
-                    float(np.max(np.abs(t_float[n] @ w - a_n * w)) / np.max(np.abs(w))),
+                    float(np.max(np.abs(tn @ w - a_n * w)) / np.max(np.abs(w))),
                 )
-            forms.append((lam, residual, dual, jmax))
+            forms.append((lam, residual, dual))
         if forms is None:
             continue
-        # deterministic order: by normalized eigenvalues at 2, 3, 5
-        forms.sort(key=lambda t: (round(t[0][2], 9), round(t[0][3], 9), round(t[0][5], 9)))
+        # deterministic order: by normalized eigenvalues at the primes in ops
+        forms.sort(key=lambda t: tuple(round(t[0][n], 9) for n in ops))
         primes_seed = np.array([2, 3, 5], dtype=np.int64)
         tables = []
-        for pos, (lam, residual, dual, jmax) in enumerate(forms):
+        for pos, (lam, residual, dual) in enumerate(forms):
             tables.append(
                 EigenformTable(
                     q=space.q,
@@ -784,7 +701,6 @@ def eigen_split(space: HeckeSpace, seed: int = 0) -> list[EigenformTable]:
                     sign=0,
                     residual=residual,
                     dual_vector=dual,
-                    base_symbol=jmax,
                 )
             )
         return tables
@@ -796,33 +712,44 @@ def extend_prime_eigenvalues(
 ) -> list[EigenformTable]:
     """Fill lambda_f at every prime <= n_max through the path engine.
 
-    The continued-fraction accumulators are shared across forms assigned to
-    the same base symbol, so the cost is ~ sum of ell log(ell) over primes,
-    independent of the number of forms.
+    Forms with |dual[(0:1)]| >= 0.1 are based at (0:1); all others share
+    one generic base (1:v), the v that maximizes their smallest |dual[v]|.
+    Each prime ell expands the folded set of ell/2 paths to k/ell once for
+    both bases, plus ell + 1 paths when some form is based at (1:v): about
+    1.5 ell continued fractions per prime, ell/2 when every form sits on
+    (0:1), whatever the number of forms.
     """
     if not tables:
         return []
+    q = space.q
     primes = primes_up_to(n_max)
     duals = np.vstack([t.dual_vector for t in tables])
-    bases, assign = _choose_base_symbols(space, duals)
-    denom = np.array([duals[f, bases[assign[f]]] for f in range(len(tables))])
+    on_zero = np.abs(duals[:, q]) >= 0.1
+    v = None
+    denom = duals[:, q].copy()
+    if not on_zero.all():
+        worst = np.min(np.abs(duals[~on_zero, 1:q]), axis=0)
+        v = 1 + int(np.argmax(worst))
+        if worst[v - 1] < 1e-3:
+            raise HeckeError(
+                f"no well-conditioned base symbol at q={q}: the best (1:{v}) has "
+                f"min |dual| = {worst[v - 1]:.2e} < 1e-3 over the forms off (0:1)"
+            )
+        denom[~on_zero] = duals[~on_zero, v]
     lam_out = np.zeros((len(tables), len(primes)), dtype=np.float64)
-    ell_checks = {2: 0, 3: 1, 5: 2}
     for i, ell in enumerate(primes.tolist()):
-        sq = math.sqrt(ell)
-        for bpos, bsym in enumerate(bases):
-            rows = np.nonzero(assign == bpos)[0]
-            if rows.size == 0:
-                continue
-            acc = _path_hecke_accumulator(space, bsym, ell)
-            lam_out[rows, i] = (duals[rows] @ acc) / denom[rows] / sq
+        acc0, accv = _path_accumulators(space, ell, v)
+        lam_out[on_zero, i] = duals[on_zero] @ acc0
+        if v is not None:
+            lam_out[~on_zero, i] = duals[~on_zero] @ accv
+    lam_out /= denom[:, None] * np.sqrt(primes)
     # cross-check the engine against the exact-matrix Rayleigh values
     for f, t in enumerate(tables):
-        for ell, ip in ell_checks.items():
-            if abs(lam_out[f, ip] - t.prime_lambda[ell_checks[ell]]) > 1e-7:
+        for ip, ell in enumerate(primes[:3].tolist()):  # 2, 3, 5 as far as n_max reaches
+            if abs(lam_out[f, ip] - t.prime_lambda[ip]) > 1e-7:
                 raise HeckeError(
-                    f"path engine disagrees with exact T_{ell} at q={space.q}: "
-                    f"{lam_out[f, ip]} vs {t.prime_lambda[ell_checks[ell]]}"
+                    f"path engine disagrees with exact T_{ell} at q={q}: "
+                    f"{lam_out[f, ip]} vs {t.prime_lambda[ip]}"
                 )
     out = []
     for f, t in enumerate(tables):
@@ -830,7 +757,7 @@ def extend_prime_eigenvalues(
             EigenformTable(
                 q=t.q, index=t.index, n_max=int(n_max), primes=primes,
                 prime_lambda=lam_out[f], sign=t.sign, residual=t.residual,
-                dual_vector=t.dual_vector, base_symbol=t.base_symbol,
+                dual_vector=t.dual_vector,
             )
         )
     return out

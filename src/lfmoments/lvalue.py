@@ -57,13 +57,19 @@ def _tau(n: int) -> np.ndarray:
 
 
 def wt_lattice(denom: float, t: float, n: int, tol: float) -> np.ndarray:
-    """W_t(4 pi^2 k / denom), k = 1..n, cached per (denom, t, n, tol)."""
-    key = (round(float(denom), 9), float(t), int(n), float(tol))
-    if key not in _WT_CACHE:
-        if len(_WT_CACHE) > 8:
-            _WT_CACHE.clear()
+    """W_t(4 pi^2 k / denom), k = 1..n, in a 9-entry LRU cache.
+
+    The grid is evaluated at min(tol, 1e-8), so that is the tol in the key.
+    """
+    grid_tol = min(float(tol), 1e-8)
+    key = (round(float(denom), 9), float(t), int(n), grid_tol)
+    if key in _WT_CACHE:
+        _WT_CACHE[key] = _WT_CACHE.pop(key)  # most recently used goes last
+    else:
+        if len(_WT_CACHE) >= 9:
+            del _WT_CACHE[next(iter(_WT_CACHE))]
         ys = 4.0 * math.pi ** 2 * np.arange(1, n + 1, dtype=np.float64) / denom
-        vals = wt_grid(t, ys, KernelParams(t=t, tol=min(tol, 1e-8)))
+        vals = wt_grid(t, ys, KernelParams(t=t, tol=grid_tol))
         if t == 0.0:
             vals = vals.real
         _WT_CACHE[key] = vals

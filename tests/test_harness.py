@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -40,6 +41,37 @@ class TestCacheFile:
         for a, b in zip(small_tables, loaded):
             full = hs.lambda_extend(b, 512).full(512)
             assert np.array_equal(full[a.primes], a.prime_lambda)
+
+    def test_concurrent_writers_leave_one_complete_file(self, small_tables, tmp_path):
+        ref = tmp_path / "ref.json"
+        ha.save_eigendata(ref, 37, 0, 512, small_tables)
+        path = tmp_path / "cache" / ha.cache_file_name(37, 0)
+        path.parent.mkdir()
+        ha.save_eigendata(path, 37, 0, 512, small_tables)
+        start = threading.Barrier(2)
+
+        def writer():
+            start.wait()
+            for _ in range(50):
+                ha.save_eigendata(path, 37, 0, 512, small_tables)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer) for _ in range(2)]
+            for th in threads:
+                th.start()
+            # a reader alongside the two writers must never see a partial file
+            while any(th.is_alive() for th in threads):
+                assert ha.load_eigendata(path)[1] == 2
+            for th in threads:
+                th.join(timeout=60)
+                assert not th.is_alive()
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert path.read_bytes() == ref.read_bytes()
+        assert list(path.parent.iterdir()) == [path]  # no temp file left behind
+        assert ha.load_eigendata(path)[:4] == (37, 2, 0, 512)
 
     def test_canonical_json_sorted_keys(self, small_tables, tmp_path):
         path = tmp_path / "cache.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -128,12 +129,87 @@ class TestEigenSplit:
             worst = max(abs(best.lam(p) * math.sqrt(p) - aps[p]) for p in small_primes)
             assert worst < 1e-8
 
+    def test_split_retry_level1201(self):
+        # two forms share a_2, a_3 and a_5 here, so the split needs T7 and T11
+        space = hs.build_space(1201)
+        tables = hs.extend_prime_eigenvalues(space, hs.eigen_split(space, 0), 64)
+        assert len(tables) == space.dim == hs.genus_oracle(1201) == 99
+        for n in (2, 3, 5, 7, 11, 13):
+            mat = hs.hecke_matrix(space, n)
+            tr_exact = float(sum(mat[i][i] for i in range(space.dim)))
+            assert abs(hs.trace(space, tables, n) * math.sqrt(n) - tr_exact) < 1e-8
+
     def test_path_engine_matches_exact_matrices(self, eigen37):
         space, tables = eigen37
         for n in primes_up_to(50).tolist():
             mat = hs.hecke_matrix(space, n)
             tr_exact = float(sum(mat[i][i] for i in range(space.dim))) / math.sqrt(n)
             assert abs(hs.trace(space, tables, n) - tr_exact) < 1e-8
+
+
+def _rayleigh_lambdas(space, tables, ells):
+    """lambda_f(ell) per table, from the exact hecke_matrix on the cuspidal basis.
+
+    Left and right eigenvectors of a fixed combination of exact T2..T11 give
+    two-sided Rayleigh quotients; each table is matched to the eigenvector
+    pair whose lambda at 2, 3, 5 is closest to its own.
+    """
+    mats = {n: np.array(hs.hecke_matrix(space, n), dtype=np.float64)
+            for n in sorted({2, 3, 5, 7, 11, *ells})}
+    amat = sum(c * mats[n] for c, n in zip((3, 5, 7, 11, 13), (2, 3, 5, 7, 11)))
+    ev, w = np.linalg.eig(amat)
+    evl, u = np.linalg.eig(amat.T)
+    assert np.max(np.abs(ev.imag)) < 1e-8 and np.min(np.diff(np.sort(ev.real))) > 1e-4
+    w, u = w.real[:, np.argsort(ev.real)], u.real[:, np.argsort(evl.real)]
+    pairs = []
+    for i in range(space.dim):
+        denom = u[:, i] @ w[:, i]
+        pairs.append({n: u[:, i] @ m @ w[:, i] / denom / math.sqrt(n) for n, m in mats.items()})
+    out = []
+    for t in tables:
+        best = min(pairs, key=lambda lam: max(abs(lam[n] - t.lam(n)) for n in (2, 3, 5)))
+        assert max(abs(best[n] - t.lam(n)) for n in (2, 3, 5)) < 1e-9
+        out.append(best)
+    return out
+
+
+class TestPathEngine:
+    def _check_against_exact(self, space, tables, ells=(7, 11, 13)):
+        q = space.q
+        on_zero = [abs(t.dual_vector[q]) >= 0.1 for t in tables]
+        assert any(on_zero) and not all(on_zero)  # both bases are exercised
+        for t, exact in zip(tables, _rayleigh_lambdas(space, tables, ells)):
+            for ell in ells:
+                assert abs(t.lam(ell) - exact[ell]) < 1e-9, (q, t.index, ell)
+
+    def test_both_bases_match_exact_route_level101(self, eigen101):
+        self._check_against_exact(*eigen101)
+
+    def test_both_bases_match_exact_route_level401(self):
+        space = hs.build_space(401)
+        tables = hs.extend_prime_eigenvalues(space, hs.eigen_split(space, 0), 64)
+        self._check_against_exact(space, tables)
+
+    def test_table_shorter_than_five(self):
+        # the exact cross-check covers only the primes 2, 3, 5 that n_max reaches
+        space = hs.build_space(11)
+        tables = hs.extend_prime_eigenvalues(space, hs.eigen_split(space, 0), 4)
+        assert tables[0].primes.tolist() == [2, 3]
+        assert abs(tables[0].lam(3) + 1.0 / math.sqrt(3)) < 1e-10
+
+    def test_ill_conditioned_base_raises(self):
+        space = hs.build_space(37)
+        tables = hs.eigen_split(space, 0)
+        # shrink the generic-base entries of every form that (0:1) cannot serve
+        bad = []
+        for t in tables:
+            dual = t.dual_vector.copy()
+            if abs(dual[37]) < 0.1:
+                dual[1:37] *= 1e-4
+            bad.append(dataclasses.replace(t, dual_vector=dual))
+        assert any(abs(t.dual_vector[37]) < 0.1 for t in bad)
+        with pytest.raises(hs.HeckeError, match=r"no well-conditioned base symbol at q=37.*< 1e-3"):
+            hs.extend_prime_eigenvalues(space, bad, 64)
 
 
 class TestLambdaExtend:

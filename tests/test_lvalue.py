@@ -118,3 +118,18 @@ class TestOffCenterOracle:
             ref = l_value(t) ** 2
             afe = lv.l_squared_afe(table, t, 1e-8).value
             assert abs(ref - afe) < 1e-7
+
+
+class TestWtLatticeCache:
+    def test_tols_evaluated_alike_share_one_grid(self):
+        # both grids are evaluated at min(tol, 1e-8), so they are one entry
+        a = lv.wt_lattice(101.0, 0.0, 256, 1e-4)
+        assert lv.wt_lattice(101.0, 0.0, 256, 1e-5) is a
+
+    def test_lru_keeps_the_grid_in_use(self):
+        live = lv.wt_lattice(997.0, 0.0, 64, 1e-4)
+        others = [lv.wt_lattice(1000.0 + k, 0.0, 64, 1e-4) for k in range(8)]
+        assert lv.wt_lattice(997.0, 0.0, 64, 1e-4) is live
+        lv.wt_lattice(2000.0, 0.0, 64, 1e-4)  # a tenth grid evicts the least recently used
+        assert lv.wt_lattice(997.0, 0.0, 64, 1e-4) is live
+        assert lv.wt_lattice(1000.0, 0.0, 64, 1e-4) is not others[0]
