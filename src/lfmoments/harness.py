@@ -148,16 +148,22 @@ def save_eigendata(path: str | Path, q: int, seed: int, n_max: int,
 
 
 def load_eigendata(path: str | Path) -> tuple[int, int, int, int, list[EigenformTable]]:
-    """Returns (q, dim, seed, n_max, tables).  Loaded tables carry primes only."""
+    """Returns (q, dim, seed, n_max, tables).  Loaded tables carry primes only;
+    a form whose primes do not start with every prime <= n_max is a ValueError."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if data.get("format_version") != CACHE_FORMAT_VERSION:
         raise ValueError(f"unsupported cache format_version: {data.get('format_version')}")
     q, dim, seed, n_max = data["q"], data["dim"], data["seed"], data["n_max"]
+    need = primes_up_to(n_max)
     tables = []
     for form in data["forms"]:
         pairs = form["lambda"]
         primes = np.array([int(p) for p, _ in pairs], dtype=np.int64)
         vals = np.array([float(v) for _, v in pairs], dtype=np.float64)
+        head = primes[:need.size]
+        if not np.array_equal(head, need):  # the first mismatch, or the first prime past a short list
+            first = need[np.argmax(np.append(head != need[:head.size], True))]
+            raise ValueError(f"cache form {form['index']}: no lambda at the prime {first}")
         tables.append(
             EigenformTable(
                 q=q, index=int(form["index"]), n_max=int(n_max), primes=primes,

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import exp1, gammaincc
@@ -450,7 +451,8 @@ def star_is_identity(space: HeckeSpace) -> bool:
 class EigenformTable:
     """One primitive eigenform: normalized eigenvalues and FE sign.
 
-    prime_lambda[i] = lambda_f(primes[i]) = a_{primes[i]} / sqrt(primes[i]).
+    prime_lambda[i] = lambda_f(primes[i]) = a_{primes[i]} / sqrt(primes[i]),
+    primes increasing.
     full() extends to all n <= n_max through the Hecke recursions.
     """
 
@@ -490,62 +492,63 @@ class EigenformTable:
         )
 
 
+@lru_cache(maxsize=4)
+def _multiplicative_plan(n_max: int) -> tuple[np.ndarray, list, list]:
+    """The part of the lambda extension that depends on n_max alone.
+
+    Returns the primes <= n_max; one prime-power step per exponent e >= 2,
+    as index arrays (p, p^e, p^{e-1}, p^{e-2}); and every n <= n_max with
+    two or more distinct prime factors as n = p^e m, p^e the full power of
+    its smallest prime, in dyadic blocks [2^k, 2^{k+1}): p^e and m are both
+    below n/2, so an earlier step has filled them in.
+    """
+    primes = primes_up_to(n_max)
+    small = primes[primes * primes <= n_max]
+    powers, base, prev2, prev = [], small, np.ones_like(small), small
+    while (keep := prev * base <= n_max).any():
+        base, prev, prev2 = base[keep], prev[keep], prev2[keep]
+        powers.append((base, prev * base, prev, prev2))
+        prev2, prev = prev, prev * base
+    spf = np.zeros(n_max + 1, dtype=np.int64)  # smallest prime factor of composites
+    for p in small[::-1].tolist():
+        spf[p * p::p] = p
+    ns = np.nonzero(spf)[0]
+    base = spf[ns]
+    ppart, rest = base.copy(), ns // base
+    while (div := rest % base == 0).any():
+        ppart[div] *= base[div]
+        rest[div] //= base[div]
+    comp = rest > 1
+    ns, ppart, rest = ns[comp], ppart[comp], rest[comp]
+    bounds = np.searchsorted(ns, 1 << np.arange(n_max.bit_length() + 1))
+    blocks = [(ns[a:b], ppart[a:b], rest[a:b]) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    return primes, powers, blocks
+
+
 def _extend_multiplicative(q: int, primes: np.ndarray, plam: np.ndarray, n_max: int) -> np.ndarray:
-    """lambda_f(n) for all n <= n_max from prime values, via Eq.-(2.1) recursions."""
+    """lambda_f(n) for all n <= n_max from prime values, via Eq.-(2.1) recursions.
+
+    primes must be increasing and contain every prime <= n_max.
+    """
+    need, powers, blocks = _multiplicative_plan(n_max)
+    pos = np.searchsorted(primes, need)
+    missing = need[np.append(primes, 0)[pos] != need][:5].tolist()
+    if missing:
+        raise MissingEigenvalueError(f"missing prime eigenvalues below {n_max}: {missing}...")
     lam = np.zeros(n_max + 1, dtype=np.float64)
     lam[1] = 1.0
-    pl = {int(p): float(v) for p, v in zip(primes, plam)}
-    missing = [p for p in primes_up_to(n_max) if int(p) not in pl]
-    if missing:
-        raise MissingEigenvalueError(f"missing prime eigenvalues below {n_max}: {missing[:5]}...")
-    for p, v in pl.items():
-        if p <= n_max:
-            lam[p] = v
+    lam[need] = plam[pos]
     # prime powers: lambda(p^{e}) = lambda(p)lambda(p^{e-1}) - lambda(p^{e-2}), p != q;
     # lambda(q^e) = lambda(q)^e  (the (d,q)=1 condition removes the second term)
-    for p in pl:
-        if p * p > n_max:
-            continue
-        pe_prev2, pe_prev = 1, p
-        pe = p * p
-        while pe <= n_max:
-            if p == q:
-                lam[pe] = lam[pe_prev] * lam[p]
-            else:
-                lam[pe] = lam[p] * lam[pe_prev] - lam[pe_prev2]
-            pe_prev2, pe_prev = pe_prev, pe
-            pe *= p
+    for base, pe, prev, prev2 in powers:
+        lam[pe] = lam[base] * lam[prev] - lam[prev2]
+    qe = q * q
+    while qe <= n_max:
+        lam[qe] = lam[qe // q] * lam[q]
+        qe *= q
     # composites with >= 2 distinct primes: lambda(p^e m) = lambda(p^e) lambda(m)
-    spf = np.zeros(n_max + 1, dtype=np.int64)
-    spf[1] = 1
-    for p in range(2, n_max + 1):
-        if spf[p] == 0:
-            spf[p::p][spf[p::p] == 0] = p
-    ns = np.arange(n_max + 1)
-    ppart = np.ones(n_max + 1, dtype=np.int64)
-    rest = ns.copy()
-    # peel the smallest-prime power off each n (vectorized fixed-point)
-    active = ns >= 2
-    base = np.where(active, spf, 1)
-    while True:
-        divisible = active & (rest % np.maximum(base, 1) == 0) & (base > 1)
-        if not divisible.any():
-            break
-        ppart[divisible] *= base[divisible]
-        rest[divisible] //= base[divisible]
-    comp = (ns >= 2) & (rest > 1)
-    order = np.argsort(ns[comp])
-    idx = ns[comp][order]
-    lam_idx_p = ppart[comp][order]
-    lam_idx_r = rest[comp][order]
-    # dependencies are strictly smaller; process in dyadic blocks
-    lo = 2
-    while lo <= n_max:
-        hi = min(n_max, 2 * lo - 1)
-        mask = (idx >= lo) & (idx <= hi)
-        if mask.any():
-            lam[idx[mask]] = lam[lam_idx_p[mask]] * lam[lam_idx_r[mask]]
-        lo = hi + 1
+    for ns, ppart, rest in blocks:
+        lam[ns] = lam[ppart] * lam[rest]
     return lam
 
 

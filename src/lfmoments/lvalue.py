@@ -6,7 +6,9 @@ The primary route is the two-term AFE for L(1/2+it, f)^2:
     S(t) = sum_{(d,q)=1} d^{-1-2it} sum_n tau(n) lambda_f(n) n^{-1/2-it}
            W_t(4 pi^2 n d^2 / q),
 
-with the lattice n d^2 truncated by the kernel-decay cutoff.  The
+with the lattice n d^2 truncated by the kernel-decay cutoff.  S(t) is
+linear in lambda_f, so it is lambda_f @ V with one weight vector V per
+(q, t, cutoff) shared by every form (afe_weights).  The
 independent cross-route at t=0 is the classical exponentially smoothed
 series for the completed L-function (no contour quadrature involved):
 
@@ -28,6 +30,7 @@ from .special import divisor_sieve, gamma
 __all__ = [
     "AfeResult",
     "afe_cutoff",
+    "afe_weights",
     "l_squared_afe",
     "l_squared_many",
     "l_central_oracle",
@@ -45,15 +48,12 @@ def afe_cutoff(q: int, t: float, tol: float) -> int:
     amp = abs(gamma(1.0 + 1j * t)) ** 2
     return truncation_cutoff(q, 1, min(tol * amp, 1e-4))
 
-_WT_CACHE: dict[tuple[float, float, int, float], np.ndarray] = {}
-_TAU_CACHE: dict[int, np.ndarray] = {}
+# key -> [W_t grid] or [W_t grid, AFE weight vector V built from it]
+_WT_CACHE: dict[tuple[float, float, int, float], list[np.ndarray]] = {}
 
 
-def _tau(n: int) -> np.ndarray:
-    if n not in _TAU_CACHE:
-        _TAU_CACHE.clear()
-        _TAU_CACHE[n] = divisor_sieve(n)
-    return _TAU_CACHE[n]
+def _wt_key(denom: float, t: float, n: int, tol: float) -> tuple[float, float, int, float]:
+    return (round(float(denom), 9), float(t), int(n), min(float(tol), 1e-8))
 
 
 def wt_lattice(denom: float, t: float, n: int, tol: float) -> np.ndarray:
@@ -61,19 +61,41 @@ def wt_lattice(denom: float, t: float, n: int, tol: float) -> np.ndarray:
 
     The grid is evaluated at min(tol, 1e-8), so that is the tol in the key.
     """
-    grid_tol = min(float(tol), 1e-8)
-    key = (round(float(denom), 9), float(t), int(n), grid_tol)
+    key = _wt_key(denom, t, n, tol)
     if key in _WT_CACHE:
         _WT_CACHE[key] = _WT_CACHE.pop(key)  # most recently used goes last
     else:
         if len(_WT_CACHE) >= 9:
             del _WT_CACHE[next(iter(_WT_CACHE))]
         ys = 4.0 * math.pi ** 2 * np.arange(1, n + 1, dtype=np.float64) / denom
-        vals = wt_grid(t, ys, KernelParams(t=t, tol=grid_tol))
+        vals = wt_grid(t, ys, KernelParams(t=t, tol=key[3]))
         if t == 0.0:
             vals = vals.real
-        _WT_CACHE[key] = vals
-    return _WT_CACHE[key]
+        _WT_CACHE[key] = [vals]
+    return _WT_CACHE[key][0]
+
+
+def afe_weights(q: int, t: float, n: int, tol: float) -> np.ndarray:
+    """The AFE weight vector V(k), k = 1..n, so that S_f(t) = lambda_f[1:n+1] @ V:
+
+        V(k) = tau(k) k^{-1/2-it} sum_{d^2 k <= n, (d,q)=1} d^{-1-2it} W_t(4 pi^2 k d^2 / q).
+
+    Built on first request and kept in the cache entry of the W_t grid it
+    is built from, so it lives and is evicted with that grid.
+    """
+    w = wt_lattice(float(q), t, n, tol)
+    entry = _WT_CACHE[_wt_key(q, t, n, tol)]
+    if len(entry) == 1:
+        v = np.zeros(n, dtype=w.dtype)
+        for d in range(1, math.isqrt(n) + 1):
+            if d % q != 0:
+                dd = d * d
+                v[:n // dd] += w[dd - 1::dd] * (1.0 / d if t == 0.0 else d ** (-1.0 - 2j * t))
+        k = np.arange(1, n + 1, dtype=np.float64)
+        k_pow = 1.0 / np.sqrt(k) if t == 0.0 else np.exp((-0.5 - 1j * t) * np.log(k))
+        v *= divisor_sieve(n)[1:] * k_pow
+        entry.append(v)
+    return entry[1]
 
 
 def _tail_model(q: int, scale: int, n: int) -> float:
@@ -93,29 +115,6 @@ class AfeResult:
     tail_bound: float
 
 
-def _lattice_sum(lam: np.ndarray, t: float, q: int, n_cutoff: int, w: np.ndarray) -> complex:
-    """S(t): the d,n lattice sum with nd^2 <= n_cutoff, (d,q)=1."""
-    tau = _tau(n_cutoff)
-    n = np.arange(1, n_cutoff + 1, dtype=np.float64)
-    if t == 0.0:
-        coeff = tau[1:n_cutoff + 1] * lam[1:n_cutoff + 1] / np.sqrt(n)
-    else:
-        coeff = tau[1:n_cutoff + 1] * lam[1:n_cutoff + 1] * np.exp((-0.5 - 1j * t) * np.log(n))
-    acc = 0.0 + 0.0j if t != 0.0 else 0.0
-    d = 1
-    while d * d <= n_cutoff:
-        if d % q != 0:
-            m = n_cutoff // (d * d)
-            idx = d * d * np.arange(1, m + 1) - 1
-            inner = np.dot(coeff[:m], w[idx])
-            if t == 0.0:
-                acc += inner / d
-            else:
-                acc += inner * cmath.exp((-1.0 - 2j * t) * math.log(d))
-        d += 1
-    return acc
-
-
 def l_squared_afe(table: EigenformTable, t: float, tol: float = 1e-8) -> AfeResult:
     """L(1/2+it, f)^2 by the smoothed approximate functional equation.
 
@@ -127,7 +126,7 @@ def l_squared_afe(table: EigenformTable, t: float, tol: float = 1e-8) -> AfeResu
 
 
 def l_squared_many(tables: list[EigenformTable], t: float, tol: float = 1e-8) -> list[AfeResult]:
-    """AFE values for several forms of one level, sharing the kernel grid."""
+    """AFE values for several forms of one level: one product lambda @ V for all forms."""
     if not tables:
         return []
     q = tables[0].q
@@ -138,15 +137,13 @@ def l_squared_many(tables: list[EigenformTable], t: float, tol: float = 1e-8) ->
             raise MissingEigenvalueError(
                 f"table n_max={table.n_max} below AFE cutoff {n_cutoff} (q={q}, tol={tol})"
             )
-    w = wt_lattice(float(q), t, n_cutoff, tol)
+    v = afe_weights(q, t, n_cutoff, tol)
     d_cutoff = int(math.isqrt(n_cutoff))
     tail = _tail_model(q, 1, n_cutoff) / amp
     g2inv = 1.0 / gamma(1.0 + 1j * t) ** 2
     rot = cmath.exp(-2j * t * math.log(q / (4.0 * math.pi ** 2)))
     out = []
-    for table in tables:
-        lam = table.full(n_cutoff)
-        s = _lattice_sum(lam, t, q, n_cutoff, w)
+    for s in np.vstack([table.full(n_cutoff)[1:n_cutoff + 1] for table in tables]) @ v:
         if t == 0.0:
             value = complex(2.0 * s)
         else:

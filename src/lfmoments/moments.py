@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .heckespace import EigenformTable
-from .lvalue import afe_cutoff, l_squared_many, wt_lattice
+from .lvalue import afe_cutoff, afe_weights, l_squared_many, wt_lattice
 from .special import (
     divisor_sieve,
     gamma,
@@ -473,8 +473,9 @@ def main_term_from_residues(j: int, p: int, q: int, t: float) -> complex:
 def trace_route_moment(tables: list[EigenformTable], p: int, t: float, tol: float = 1e-8) -> complex:
     """A(p,q,t) assembled from Tr(T_k) by the coprime/divisible splitting.
 
-    Independent evaluation order from the form-by-form route: the d,n sums
-    run over traces Tr(T_{np}) and Tr(T_{n/p}); tables must extend to
+    Independent evaluation order from the form-by-form route: the traces
+    Tr(T_{np}) + Tr(T_{n/p}) meet the same AFE weight vector V (afe_weights)
+    that each form's lambda_f(n) meets there; tables must extend to
     p * afe_cutoff(q, t, tol).
     """
     if not tables:
@@ -485,25 +486,10 @@ def trace_route_moment(tables: list[EigenformTable], p: int, t: float, tol: floa
     tr = np.zeros(need + 1, dtype=np.float64)
     for table in tables:
         tr += table.full(need)[: need + 1]
-    w = wt_lattice(float(q), t, n_cutoff, tol)
-    tau = divisor_sieve(n_cutoff)
-    n = np.arange(1, n_cutoff + 1, dtype=np.float64)
     gvals = tr[p * np.arange(1, n_cutoff + 1)].copy()
     mult = np.arange(1, n_cutoff + 1) % p == 0
     gvals[mult] += tr[np.arange(1, n_cutoff + 1)[mult] // p]
-    if abs(t) < T_ZERO_EPS:
-        coeff = tau[1:] * gvals / np.sqrt(n)
-    else:
-        coeff = tau[1:] * gvals * np.exp((-0.5 - 1j * t) * np.log(n))
-    acc = 0.0 + 0.0j
-    d = 1
-    while d * d <= n_cutoff:
-        if d % q != 0:
-            m = n_cutoff // (d * d)
-            idx = d * d * np.arange(1, m + 1) - 1
-            inner = np.dot(coeff[:m], w[idx])
-            acc += inner * cmath.exp((-1.0 - 2j * t) * math.log(d))
-        d += 1
+    acc = gvals @ afe_weights(q, t, n_cutoff, tol)
     it = 1j * t
     if abs(t) < T_ZERO_EPS:
         return complex(2.0 * acc.real)

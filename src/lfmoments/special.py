@@ -334,6 +334,7 @@ def divisor_sieve(n: int) -> np.ndarray:
     if n < 1:
         raise SpecialFunctionError(f"divisor_sieve requires n >= 1, got {n}")
     t = np.zeros(n + 1, dtype=np.int64)
-    for d in range(1, n + 1):
-        t[d::d] += 1
+    for d in range(1, math.isqrt(n) + 1):  # each divisor pair d < k/d, and d = k/d
+        t[d * d] += 1
+        t[d * (d + 1)::d] += 2
     return t

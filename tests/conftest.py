@@ -1,7 +1,12 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
+from scipy.special import gamma
 
 from lfmoments import heckespace as hs
+from lfmoments.special import divisor_sieve
 
 # Session-wide eigendata, sized for the most demanding consumer of each level:
 # q=11: eta-product comparisons to 2048 and tol=5e-7 AFE work
@@ -74,3 +79,31 @@ def count_affine_points(a1, a2, a3, a4, a6, p) -> int:
             if (y * y + a1 * x * y + a3 * y - rhs) % p == 0:
                 cnt += 1
     return cnt
+
+
+def lattice_sum_by_d(coeff: np.ndarray, t: float, q: int, n_cutoff: int, w: np.ndarray) -> complex:
+    """The AFE lattice sum one d at a time, with coeff[n] in place of lambda_f(n):
+
+    S = sum_{d^2 <= N, (d,q)=1} d^{-1-2it} sum_{n <= N/d^2} tau(n) coeff[n] n^{-1/2-it} W_t(n d^2),
+
+    w[k-1] = W_t(4 pi^2 k / q).  The oracle for the shared AFE weight vector.
+    """
+    n = np.arange(1, n_cutoff + 1, dtype=np.float64)
+    c = divisor_sieve(n_cutoff)[1:] * coeff[1:n_cutoff + 1] * np.exp((-0.5 - 1j * t) * np.log(n))
+    acc = 0.0 + 0.0j
+    d = 1
+    while d * d <= n_cutoff:
+        if d % q != 0:
+            m = n_cutoff // (d * d)
+            inner = np.dot(c[:m], w[d * d * np.arange(1, m + 1) - 1])
+            acc += inner * cmath.exp((-1.0 - 2j * t) * math.log(d))
+        d += 1
+    return acc
+
+
+def afe_assemble(s: complex, q: int, t: float) -> complex:
+    """Gamma(1+it)^{-2} [S + (q/4pi^2)^{-2it} conj(S)], which is 2 Re S at t = 0."""
+    if t == 0.0:
+        return complex(2.0 * s.real)
+    rot = cmath.exp(-2j * t * math.log(q / (4.0 * math.pi ** 2)))
+    return (s + rot * s.conjugate()) / gamma(1.0 + 1j * t) ** 2

@@ -87,6 +87,27 @@ class TestCacheFile:
         assert (tmp_path / ha.cache_file_name(11, 0)).read_bytes() == stamp
         assert np.array_equal(t1[0].prime_lambda, t2[0].prime_lambda)
 
+    def test_partial_cache_names_form_and_prime(self, small_tables, tmp_path):
+        path = tmp_path / "cache.json"
+        ha.save_eigendata(path, 37, 0, 512, small_tables)
+        data = json.loads(path.read_text())
+        del data["forms"][1]["lambda"][50:]
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="cache form 1: no lambda at the prime 233$"):
+            ha.load_eigendata(path)
+
+    def test_factor_plan_built_once_per_n_max(self, eigen101, tmp_path):
+        _, tables = eigen101
+        path = tmp_path / "cache.json"
+        ha.save_eigendata(path, 101, 0, 4096, tables)
+        hs._multiplicative_plan.cache_clear()
+        for _ in range(2):
+            *_, loaded = ha.load_eigendata(path)
+            for t in loaded:
+                t.full()
+        assert len(loaded) == 8
+        assert hs._multiplicative_plan.cache_info().misses == 1
+
     def test_rebuild_when_cache_too_short(self, tmp_path):
         ha.get_eigendata(11, 128, 0, tmp_path)
         tables = ha.get_eigendata(11, 512, 0, tmp_path)
@@ -195,6 +216,23 @@ class TestCli:
         assert out.returncode == 0
         data = json.loads(out.stdout)
         assert abs(data["empirical"][0] - (-0.0911246)) < 1e-5
+
+    def test_moment_rebuilds_partial_cache(self, tmp_path):
+        out = self._run("eigendata", "--q", "11", "--n-max", "1024", "--seed", "0",
+                        "--cache-dir", str(tmp_path))
+        assert out.returncode == 0
+        path = tmp_path / "eigendata_q11_seed0.json"
+        data = json.loads(path.read_text())
+        for form in data["forms"]:
+            del form["lambda"][100:]  # valid JSON, but the primes stop at 541
+        path.write_text(json.dumps(data))
+        out = self._run("moment", "--q", "11", "--p", "2", "--j", "1", "--t", "0",
+                        "--tol", "1e-6", "--cache-dir", str(tmp_path))
+        assert out.returncode == 0, out.stderr
+        assert abs(json.loads(out.stdout)["empirical"][0] - (-0.0911246)) < 1e-5
+        *_, n_max, tables = ha.load_eigendata(path)
+        assert n_max >= 512
+        assert tables[0].primes.tolist() == hs.primes_up_to(n_max).tolist()
 
     def test_usage_error_exit_code(self):
         out = self._run("moment", "--q", "11")

@@ -254,6 +254,42 @@ class TestLambdaExtend:
         with pytest.raises(hs.MissingEigenvalueError):
             tables[0].full(10 ** 6)
 
+    def test_one_missing_prime_is_named(self, eigen101):
+        _, tables = eigen101
+        t = tables[0]
+        keep = t.primes != 547
+        short = dataclasses.replace(t, primes=t.primes[keep], prime_lambda=t.prime_lambda[keep],
+                                    _full=None)
+        with pytest.raises(hs.MissingEigenvalueError, match=r"below 16384: \[547\]"):
+            short.full()
+
+    def test_matches_trial_division_reference(self, eigen37, eigen101):
+        # bit for bit: both peel the smallest prime power off each n
+        for _, tables in (eigen37, eigen101):
+            for t in tables:
+                assert np.array_equal(t.full(), _lambda_by_trial_division(t, t.n_max))
+
+
+def _lambda_by_trial_division(table: hs.EigenformTable, n_max: int) -> np.ndarray:
+    """lambda_f(n) for n <= n_max, one n at a time: n = p^e m with p the
+    smallest prime factor of n, found by trial division."""
+    prime_lambda = dict(zip(table.primes.tolist(), table.prime_lambda.tolist()))
+    lam = [0.0, 1.0]
+    for n in range(2, n_max + 1):
+        p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+        pe, m = 1, n
+        while m % p == 0:
+            pe, m = pe * p, m // p
+        if m > 1:
+            lam.append(lam[pe] * lam[m])
+        elif pe == p:
+            lam.append(prime_lambda[p])
+        elif p == table.q:
+            lam.append(lam[pe // p] * lam[p])
+        else:
+            lam.append(lam[p] * lam[pe // p] - lam[pe // (p * p)])
+    return np.array(lam)
+
 
 class TestTrace:
     def test_trace_of_identity(self, eigen11):

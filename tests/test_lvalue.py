@@ -1,9 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from lfmoments import heckespace as hs
 from lfmoments import lvalue as lv
+from lfmoments import moments as mo
+
+from conftest import afe_assemble, lattice_sum_by_d
 
 
 class TestAfe:
@@ -21,11 +25,8 @@ class TestAfe:
         tol = 5e-7
         base = lv.l_squared_afe(tables[0], 0.0, tol)
         n2 = 2 * base.n_cutoff
-        from lfmoments.lvalue import _lattice_sum, wt_lattice
-
         lam = tables[0].full(n2)
-        w = wt_lattice(11.0, 0.0, n2, tol)
-        doubled = 2.0 * _lattice_sum(lam, 0.0, 11, n2, w)
+        doubled = 2.0 * float(lam[1:n2 + 1] @ lv.afe_weights(11, 0.0, n2, tol))
         assert abs(doubled - base.value.real) < tol
 
     def test_tail_bound_below_tol(self, eigen11):
@@ -133,3 +134,40 @@ class TestWtLatticeCache:
         lv.wt_lattice(2000.0, 0.0, 64, 1e-4)  # a tenth grid evicts the least recently used
         assert lv.wt_lattice(997.0, 0.0, 64, 1e-4) is live
         assert lv.wt_lattice(1000.0, 0.0, 64, 1e-4) is not others[0]
+
+
+class TestWeightVector:
+    @pytest.mark.parametrize("t", [0.0, 0.5, -1.25])
+    def test_form_and_trace_routes_match_per_d_loop(self, eigen37, eigen101, t):
+        tol = 1e-4
+        for (_, tables), p in ((eigen37, 3), (eigen101, 2)):
+            q = tables[0].q
+            n = lv.afe_cutoff(q, t, tol)
+            w = lv.wt_lattice(float(q), t, n, tol)
+            ref = [afe_assemble(lattice_sum_by_d(tb.full(), t, q, n, w), q, t) for tb in tables]
+            got = [res.value for res in lv.l_squared_many(tables, t, tol)]
+            scale = max(abs(v) for v in ref)
+            assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-12 * scale
+            tr = sum(tb.full() for tb in tables)
+            g = tr[p * np.arange(n + 1)]
+            g[p::p] += tr[1:n // p + 1]
+            ref_trace = afe_assemble(lattice_sum_by_d(g, t, q, n, w), q, t)
+            assert abs(mo.trace_route_moment(tables, p, t, tol) - ref_trace) <= 1e-12 * abs(ref_trace)
+
+    def test_grid_miss_builds_v_once(self, eigen101, monkeypatch):
+        _, tables = eigen101
+        t, tol = 0.731, 1e-4
+        calls = {"wt_grid": 0, "divisor_sieve": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(lv, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(lv, name, counted)
+        monkeypatch.setattr(lv, "_WT_CACHE", {})
+        n = lv.afe_cutoff(101, t, tol)
+        v = lv.afe_weights(101, t, n, tol)
+        lv.l_squared_many(tables, t, tol)
+        lv.l_squared_many(tables, t, tol)
+        mo.trace_route_moment(tables, 2, t, tol)
+        assert lv.afe_weights(101, t, n, tol) is v
+        assert calls == {"wt_grid": 1, "divisor_sieve": 1}

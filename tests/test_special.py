@@ -153,6 +153,11 @@ class TestArithmetic:
         t = sp.divisor_sieve(600)
         for n in (1, 2, 12, 64, 360, 599):
             assert t[n] == sp.divisor_count(n)
+        t = sp.divisor_sieve(5000)
+        assert t[0] == 0
+        assert t[1:].tolist() == [sp.divisor_count(k) for k in range(1, 5001)]
+        for n in (1, 2, 3, 4):
+            assert sp.divisor_sieve(n).tolist() == [0] + [sp.divisor_count(k) for k in range(1, n + 1)]
 
     def test_primes(self):
         assert sp.primes_up_to(10).tolist() == [2, 3, 5, 7]
