@@ -14,12 +14,10 @@ from .heckespace import (
     HeckeSpace,
     build_space,
     eigen_split,
-    eigendata,
     extend_prime_eigenvalues,
     genus_oracle,
     hecke_matrix,
     lambda_extend,
-    sign_of_functional_equation,
     trace,
 )
 from .lvalue import AfeResult, afe_cutoff, l_central_oracle, l_squared_afe

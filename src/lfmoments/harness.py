@@ -24,7 +24,6 @@ from .heckespace import (
     build_space,
     eigen_split,
     extend_prime_eigenvalues,
-    fe_sign_with_fallback,
 )
 from .lvalue import afe_cutoff
 from .moments import MomentRecord, build_moment_record
@@ -178,7 +177,7 @@ def load_eigendata(path: str | Path) -> tuple[int, int, int, int, list[Eigenform
 def get_eigendata(
     q: int, n_max: int, seed: int = 0, cache_dir: str | Path | None = None
 ) -> list[EigenformTable]:
-    """Eigen tables for level q covering primes <= n_max, cache-aware."""
+    """Eigen tables for level q covering primes <= n_max, with FE signs, cache-aware."""
     path = None
     if cache_dir is not None:
         path = Path(cache_dir) / cache_file_name(q, seed)
@@ -192,7 +191,6 @@ def get_eigendata(
     space = build_space(q)
     tables = eigen_split(space, seed=seed)
     tables = extend_prime_eigenvalues(space, tables, n_max)
-    tables = [t.with_sign(fe_sign_with_fallback(t)) for t in tables]
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
         save_eigendata(path, q, seed, n_max, tables)

@@ -31,12 +31,12 @@ coefficients holds verbatim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import exp1, gammaincc
+from numpy.random import default_rng  # loaded with the package, not in the first split
 
 from .special import is_prime, primes_up_to
 
@@ -56,9 +56,6 @@ __all__ = [
     "extend_prime_eigenvalues",
     "lambda_extend",
     "trace",
-    "sign_of_functional_equation",
-    "fe_sign_with_fallback",
-    "eigendata",
 ]
 
 _F0 = Fraction(0)
@@ -484,13 +481,6 @@ class EigenformTable:
             )
         return self._full
 
-    def with_sign(self, sign: int) -> "EigenformTable":
-        return EigenformTable(
-            q=self.q, index=self.index, n_max=self.n_max, primes=self.primes,
-            prime_lambda=self.prime_lambda, sign=sign, residual=self.residual,
-            dual_vector=self.dual_vector, _full=self._full,
-        )
-
 
 @lru_cache(maxsize=4)
 def _multiplicative_plan(n_max: int) -> tuple[np.ndarray, list, list]:
@@ -632,13 +622,13 @@ def eigen_split(space: HeckeSpace, seed: int = 0) -> list[EigenformTable]:
     and a_5); other failures redraw, up to ten draws in all.  Forms are
     ordered by lambda at the primes of the combination: forms that tie at
     2, 3 and 5 collide, so 7 and 11 are in the key whenever they can matter.
-    Tables carry lambda at p in {2,3,5} only; use extend_prime_eigenvalues
-    for the rest.
+    Tables carry lambda at p in {2,3,5} only and sign 0; use
+    extend_prime_eigenvalues for the other primes and the sign.
     """
     if space.dim == 0:
         return []
     ops = (2, 3, 5)
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     last_err = ""
     for _ in range(10):
         t_float = {n: _quotient_matrix_float(space, n) for n in ops}  # cached on the space
@@ -692,21 +682,12 @@ def eigen_split(space: HeckeSpace, seed: int = 0) -> list[EigenformTable]:
         # deterministic order: by normalized eigenvalues at the primes in ops
         forms.sort(key=lambda t: tuple(round(t[0][n], 9) for n in ops))
         primes_seed = np.array([2, 3, 5], dtype=np.int64)
-        tables = []
-        for pos, (lam, residual, dual) in enumerate(forms):
-            tables.append(
-                EigenformTable(
-                    q=space.q,
-                    index=pos,
-                    n_max=5,
-                    primes=primes_seed,
-                    prime_lambda=np.array([lam[2], lam[3], lam[5]]),
-                    sign=0,
-                    residual=residual,
-                    dual_vector=dual,
-                )
-            )
-        return tables
+        return [
+            EigenformTable(q=space.q, index=pos, n_max=5, primes=primes_seed,
+                           prime_lambda=np.array([lam[2], lam[3], lam[5]]), sign=0,
+                           residual=residual, dual_vector=dual)
+            for pos, (lam, residual, dual) in enumerate(forms)
+        ]
     raise SplitFailureError(f"eigen split failed after 10 draws at q={space.q}: {last_err}")
 
 
@@ -721,6 +702,12 @@ def extend_prime_eigenvalues(
     both bases, plus ell + 1 paths when some form is based at (1:v): about
     1.5 ell continued fractions per prime, ell/2 when every form sits on
     (0:1), whatever the number of forms.
+
+    Each form's functional-equation sign is eps_f = -w_q = a_q =
+    sqrt(q) lambda_f(q), weight 2 at prime level (Atkin-Lehner).  When
+    q > n_max the engine runs once more at ell = q for it; lambda_f(q) is
+    then not stored.  IndeterminateSignError when sqrt(q) lambda_f(q) is
+    more than 1e-3 away from +-1.
     """
     if not tables:
         return []
@@ -739,13 +726,14 @@ def extend_prime_eigenvalues(
                 f"min |dual| = {worst[v - 1]:.2e} < 1e-3 over the forms off (0:1)"
             )
         denom[~on_zero] = duals[~on_zero, v]
-    lam_out = np.zeros((len(tables), len(primes)), dtype=np.float64)
-    for i, ell in enumerate(primes.tolist()):
+    ells = primes if q <= n_max else np.append(primes, q)
+    lam_out = np.zeros((len(tables), len(ells)), dtype=np.float64)
+    for i, ell in enumerate(ells.tolist()):
         acc0, accv = _path_accumulators(space, ell, v)
         lam_out[on_zero, i] = duals[on_zero] @ acc0
         if v is not None:
             lam_out[~on_zero, i] = duals[~on_zero] @ accv
-    lam_out /= denom[:, None] * np.sqrt(primes)
+    lam_out /= denom[:, None] * np.sqrt(ells)
     # cross-check the engine against the exact-matrix Rayleigh values
     for f, t in enumerate(tables):
         for ip, ell in enumerate(primes[:3].tolist()):  # 2, 3, 5 as far as n_max reaches
@@ -754,102 +742,16 @@ def extend_prime_eigenvalues(
                     f"path engine disagrees with exact T_{ell} at q={q}: "
                     f"{lam_out[f, ip]} vs {t.prime_lambda[ip]}"
                 )
-    out = []
-    for f, t in enumerate(tables):
-        out.append(
-            EigenformTable(
-                q=t.q, index=t.index, n_max=int(n_max), primes=primes,
-                prime_lambda=lam_out[f], sign=t.sign, residual=t.residual,
-                dual_vector=t.dual_vector,
-            )
-        )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Functional-equation sign
-
-
-def _upper_gamma(a: float, x: np.ndarray) -> np.ndarray:
-    """Upper incomplete Gamma(a, x) for real a (a > 0 direct, else recurrence)."""
-    x = np.asarray(x, dtype=np.float64)
-    if a > 0:
-        return gammaincc(a, x) * math.gamma(a)
-    if a == 0.0:
-        return exp1(x)
-    # Gamma(a,x) = (Gamma(a+1,x) - x^a e^{-x}) / a
-    return (_upper_gamma(a + 1.0, x) - x ** a * np.exp(-x)) / a
-
-
-def _lambda_completed_pair(table: EigenformTable, s: float, eps: int, n_terms: int) -> float:
-    """Completed Lambda(s,f) from the two-sided incomplete-gamma sum."""
-    q = table.q
-    lam = table.full(n_terms)
-    n = np.arange(1, n_terms + 1, dtype=np.float64)
-    c = 2.0 * math.pi * n / math.sqrt(q)
-    coeff = lam[1:n_terms + 1] * np.sqrt(n)
-    g1 = np.sum(coeff * c ** (-(s + 0.5)) * _upper_gamma(s + 0.5, c))
-    g2 = np.sum(coeff * c ** (s - 1.5) * _upper_gamma(1.5 - s, c))
-    return float((2.0 * math.pi / math.sqrt(q)) ** 0.5 * (g1 + eps * g2))
-
-
-def sign_of_functional_equation(table: EigenformTable, tol: float = 1e-9) -> int:
-    """epsilon_f, determined numerically from the completed L-function.
-
-    The two-sided smoothed sum for Lambda(s,f) is matched against the
-    absolutely convergent Dirichlet series at s=2.5 for both candidate
-    signs; the winner must fit 10x better and reproduce the reflection
-    Lambda(0.6) = eps Lambda(0.4) to 1e-4.
-    """
-    q = table.q
-    n_terms = min(table.n_max, max(64, int(math.sqrt(q) * (math.log(1.0 / tol) + 8.0) / (2.0 * math.pi))))
-    if n_terms < 16:
-        raise MissingEigenvalueError("table too short to determine the FE sign")
-    s0 = 2.5
-    lam = table.full(table.n_max)
-    n = np.arange(1, table.n_max + 1, dtype=np.float64)
-    l_direct = float(np.sum(lam[1:] * n ** (-s0)))
-    lam_direct = (math.sqrt(q) / (2.0 * math.pi)) ** s0 * math.gamma(s0 + 0.5) * l_direct
-    pair = {e: _lambda_completed_pair(table, s0, e, n_terms) for e in (+1, -1)}
-    fits = {e: abs(pair[e] - lam_direct) for e in (+1, -1)}
-    disc = abs(pair[+1] - pair[-1])
-    eps = +1 if fits[+1] < fits[-1] else -1
-    if fits[-eps] < 4.0 * fits[eps] or fits[eps] > 0.2 * disc:
+    root_q_lam = math.sqrt(q) * lam_out[:, int(np.searchsorted(ells, q))]
+    off = np.abs(np.abs(root_q_lam) - 1.0)
+    if float(np.max(off)) > 1e-3:
+        f = int(np.argmax(off))
         raise IndeterminateSignError(
-            f"FE sign not separated at q={q}, form {table.index}: fits={fits}, gap={disc:.3e}"
+            f"no FE sign at q={q}, form {tables[f].index}: "
+            f"sqrt(q) lambda_f(q) = {root_q_lam[f]:.6g} is not within 1e-3 of +-1"
         )
-    lam_a = _lambda_completed_pair(table, 0.6, eps, n_terms)
-    lam_b = _lambda_completed_pair(table, 0.4, eps, n_terms)
-    denom = max(abs(lam_a), abs(lam_b))
-    if denom > 1e-9:
-        ratio = lam_a / lam_b if abs(lam_b) > 1e-300 else math.inf
-        if abs(ratio - eps) > 1e-4:
-            raise IndeterminateSignError(
-                f"reflected-point ratio {ratio} not within 1e-4 of {eps} at q={q}"
-            )
-    return eps
-
-
-def fe_sign_with_fallback(table: EigenformTable) -> int:
-    """FE sign via the completed-L consistency, falling back to the
-    prime-level identity eps_f = sqrt(q) lambda_f(q) when the numerical
-    separation degrades (large q)."""
-    try:
-        return sign_of_functional_equation(table)
-    except IndeterminateSignError:
-        val = math.sqrt(table.q) * table.lam(table.q)
-        sign = 1 if val > 0 else -1
-        if abs(abs(val) - 1.0) > 1e-3:
-            raise
-        return sign
-
-
-def eigendata(q: int, n_max: int, seed: int = 0) -> tuple[HeckeSpace, list[EigenformTable]]:
-    """Build the space, split it, extend primes to n_max, determine signs."""
-    space = build_space(q)
-    tables = eigen_split(space, seed=seed)
-    tables = extend_prime_eigenvalues(space, tables, n_max)
-    out = []
-    for t in tables:
-        out.append(t.with_sign(fe_sign_with_fallback(t)))
-    return space, out
+    return [
+        replace(t, n_max=int(n_max), primes=primes, prime_lambda=lam_out[f, :len(primes)],
+                sign=int(np.rint(root_q_lam[f])), _full=None)
+        for f, t in enumerate(tables)
+    ]

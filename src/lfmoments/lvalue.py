@@ -12,7 +12,9 @@ linear in lambda_f, so it is lambda_f @ V with one weight vector V per
 independent cross-route at t=0 is the classical exponentially smoothed
 series for the completed L-function (no contour quadrature involved):
 
-    L(1/2, f) = (1 + eps_f) sum_n lambda_f(n) n^{-1/2} e^{-2 pi n / sqrt(q)}.
+    L(1/2, f) = (1 + eps_f) sum_n lambda_f(n) n^{-1/2} e^{-2 pi n / sqrt(q)},
+
+with eps_f = sqrt(q) lambda_f(q) as the path engine stores it on the table.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heckespace import EigenformTable, MissingEigenvalueError, sign_of_functional_equation
+from .heckespace import EigenformTable, MissingEigenvalueError
 from .smoothing import KernelParams, truncation_cutoff, wt_grid
 from .special import divisor_sieve, gamma
 
@@ -156,12 +158,14 @@ def l_central_oracle(table: EigenformTable, tol: float = 1e-8) -> float:
     """L(1/2, f) by the exponentially smoothed central-value series.
 
     Independent of the W_t quadrature route; uses the functional-equation
-    sign (computed on demand if the table does not carry one).
+    sign the table carries, which extend_prime_eigenvalues sets.  A table
+    without one (sign 0, straight from eigen_split) is a ValueError.
     """
     q = table.q
     sign = table.sign
-    if sign == 0:
-        sign = sign_of_functional_equation(table)
+    if sign not in (-1, 1):
+        raise ValueError(f"form {table.index} at q={q} carries no FE sign; "
+                         "extend_prime_eigenvalues sets it")
     m = max(32, math.ceil(math.sqrt(q) * (math.log(1.0 / tol) + 8.0) / (2.0 * math.pi)))
     if table.n_max < m:
         raise MissingEigenvalueError(f"table too short for the central-value series: need {m}")

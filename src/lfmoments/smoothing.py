@@ -72,17 +72,6 @@ class KernelParams:
             raise ValueError("contour_abscissa must be positive")
 
 
-def _gamma_shifted_vec(s: np.ndarray) -> np.ndarray:
-    """gamma on arrays with Re(s) possibly below 1/2 (but > -1), via recurrence."""
-    s = np.asarray(s, dtype=np.complex128)
-    min_re = float(np.min(s.real))
-    shift = max(0, int(math.ceil(0.75 - min_re)))
-    val = gamma_vec(s + shift)
-    for j in range(shift):
-        val = val / (s + j)
-    return val
-
-
 def _safe_abscissa(y: float, requested: float, tol: float) -> float:
     """Largest abscissa <= requested keeping Y^{-sigma} e^{sigma^2} within
     the float budget (node magnitude * 1e-15 <= tol/20)."""
@@ -105,7 +94,7 @@ def _line_quad(t: float, ys: np.ndarray, sigma: float, step: float, halfwidth: f
     n = int(math.ceil(halfwidth / step))
     v = np.arange(-n, n + 1, dtype=np.float64) * step
     u = sigma + 1j * v
-    g = _gamma_shifted_vec(1.0 + 1j * t + u)
+    g = gamma_vec(1.0 + 1j * t + u)
     coeff = (step / (2.0 * math.pi)) * g * g * np.exp(u * u) / u
     ln_y = np.log(ys)
     out = np.empty(ys.shape, dtype=np.complex128)
@@ -174,9 +163,10 @@ def wt_grid(t: float, ys: np.ndarray, params: KernelParams | None = None) -> np.
     sig = np.array([_safe_abscissa(float(v), params.contour_abscissa, params.tol) for v in flat_y])
     levels = np.array(sorted({_SIGMA_FLOOR, 0.6, 1.0, 1.5, params.contour_abscissa}))
     quant = levels[np.clip(np.searchsorted(levels, sig, side="right") - 1, 0, len(levels) - 1)]
-    for level in np.unique(quant):
+    for level in levels:  # not np.unique, which loads numpy.ma on its first call
         mask = quant == level
-        flat_out[mask] = _refined_line_quad(t, flat_y[mask], float(level), params)
+        if mask.any():
+            flat_out[mask] = _refined_line_quad(t, flat_y[mask], float(level), params)
     return out
 
 

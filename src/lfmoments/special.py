@@ -4,7 +4,8 @@ Everything downstream (kernel quadrature, Dirichlet-series identities,
 main-term formulas) reduces to a handful of primitives implemented here:
 
   * gamma(s)           Lanczos rational approximation (g=7, n=9), with the
-                       reflection formula for Re(s) < 1/2.
+                       reflection formula for Re(s) < 1/2; gamma_vec is the
+                       same sum on arrays, with one step of the recurrence.
   * zeta(s)            Euler-Maclaurin summation, valid for Re(s) >= -1 and
                        moderate |Im(s)|; truncation is configurable.
   * zeta_deriv(s)      term-by-term differentiated Euler-Maclaurin.
@@ -76,6 +77,17 @@ def _is_near_nonpositive_integer(s: complex, eps: float = 1e-14) -> bool:
     return k <= 0 and abs(s.real - k) <= eps
 
 
+def _lanczos(z, exp):
+    """Gamma(z + 1) by the Lanczos sum for Re(z) > -1/2, with only + / ** and
+    the given exp, so that complex scalars (cmath.exp) and arrays (np.exp)
+    share it."""
+    x = _LANCZOS_P[0]
+    for i in range(1, len(_LANCZOS_P)):
+        x = x + _LANCZOS_P[i] / (z + i)
+    t = z + _LANCZOS_G + 0.5
+    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * exp(-t) * x
+
+
 def gamma(s: complex) -> complex:
     """Gamma(s) for complex s, away from the poles at 0, -1, -2, ...
 
@@ -87,28 +99,21 @@ def gamma(s: complex) -> complex:
     if s.real < 0.5:
         # Reflection: Gamma(s) Gamma(1-s) = pi / sin(pi s).
         return math.pi / (cmath.sin(math.pi * s) * gamma(1.0 - s))
-    z = s - 1.0
-    x = _LANCZOS_P[0]
-    for i in range(1, len(_LANCZOS_P)):
-        x += _LANCZOS_P[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
+    return _lanczos(s - 1.0, cmath.exp)
 
 
 def gamma_vec(s: np.ndarray) -> np.ndarray:
-    """Vectorized gamma for arrays with Re(s) > 1/2 (no reflection branch).
+    """Vectorized gamma for arrays with Re(s) > -1/2.
 
-    Used by the contour quadratures, whose nodes always sit in that
-    half-plane after the abscissa floor is applied.
+    Nodes with Re(s) < 1/2 take one step of Gamma(s) = Gamma(s+1)/s.  Used
+    by the contour quadratures, whose nodes sit right of Re(s) = 0.1.
     """
-    z = np.asarray(s, dtype=np.complex128) - 1.0
-    if np.any(z.real < -0.5):
-        raise SpecialFunctionError("gamma_vec requires Re(s) > 1/2")
-    x = np.full(z.shape, _LANCZOS_P[0], dtype=np.complex128)
-    for i in range(1, len(_LANCZOS_P)):
-        x += _LANCZOS_P[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * np.exp(-t) * x
+    s = np.asarray(s, dtype=np.complex128)
+    if np.any(s.real <= -0.5):
+        raise SpecialFunctionError("gamma_vec requires Re(s) > -1/2")
+    low = s.real < 0.5
+    g = _lanczos(np.where(low, s + 1.0, s) - 1.0, np.exp)
+    return np.where(low, g / s, g)
 
 
 def _bernoulli_even(count: int) -> list[float]:
@@ -174,7 +179,6 @@ def zeta_vec(s: np.ndarray, terms: int = _ZETA_TERMS, bernoulli_terms: int = _ZE
     n_terms = max(terms, int(0.6 * float(np.max(np.abs(s.imag)))) + 8)
     ns = np.arange(1, n_terms, dtype=np.float64)
     # (n_nodes, n_terms) matrix of n^{-s}; chunk if large
-    acc = np.zeros(s.shape, dtype=np.complex128)
     flat = s.reshape(-1)
     out = np.zeros(flat.shape, dtype=np.complex128)
     chunk = max(1, 2_000_000 // n_terms)

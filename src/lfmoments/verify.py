@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,7 +17,8 @@ from . import heckespace as hs
 from . import moments as mo
 from . import smoothing as sm
 from . import special as sp
-from .lvalue import afe_cutoff, l_central_oracle, l_squared_afe
+from .harness import get_eigendata
+from .lvalue import afe_cutoff, l_central_oracle, l_squared_afe, l_squared_many
 
 __all__ = ["Check", "run_suite", "SUITE_NAMES"]
 
@@ -192,30 +193,26 @@ def verify_hecke(seed: int = 0) -> list[Check]:
         worst = max(worst, abs(tr_exact - tr_tab))
     _check(out, "two-route traces at q=37", worst < 1e-8, f"worst = {worst:.2e}")
 
-    signs = [hs.sign_of_functional_equation(t) for t in tables]
-    _check(out, "FE signs are +-1 and match sqrt(q) lambda(q)",
-           all(s in (-1, 1) and abs(s - math.sqrt(37) * t.lam(37)) < 1e-6
-               for s, t in zip(signs, tables)))
+    # the sign-blind AFE: L(1/2)^2 vanishes exactly on the forms of sign -1
+    central = [abs(r.value) for r in l_squared_many(tables, 0.0, 1e-6)]
+    _check(out, "FE sign -1 exactly where the sign-blind L(1/2)^2 vanishes at q=37",
+           all(t.sign in (-1, 1) and (c < 1e-3) == (t.sign == -1)
+               for c, t in zip(central, tables)),
+           f"signs {[t.sign for t in tables]}, L(1/2)^2 {[f'{c:.2e}' for c in central]}")
     return out
-
-
-def _eigendata_small(q: int, n_max: int, seed: int = 0):
-    space = hs.build_space(q)
-    tables = hs.extend_prime_eigenvalues(space, hs.eigen_split(space, seed), n_max)
-    return space, [t.with_sign(hs.sign_of_functional_equation(t)) for t in tables]
 
 
 def verify_lvalue(seed: int = 0) -> list[Check]:
     out: list[Check] = []
     tol = 1e-6
-    _, tabs = _eigendata_small(11, 2 * afe_cutoff(11, 1.0, tol), seed)
+    tabs = get_eigendata(11, 2 * afe_cutoff(11, 1.0, tol), seed)
 
     afe = l_squared_afe(tabs[0], 0.0, tol)
     oracle = l_central_oracle(tabs[0], 1e-9)
     _check(out, "q=11 cross-route L(1/2)^2", abs(afe.value.real - oracle ** 2) < 2e-6,
            f"afe = {afe.value.real:.9f}, oracle^2 = {oracle**2:.9f}")
 
-    flipped = tabs[0].with_sign(-tabs[0].sign)
+    flipped = replace(tabs[0], sign=-tabs[0].sign)
     same = l_squared_afe(flipped, 0.5, tol).value
     ref = l_squared_afe(tabs[0], 0.5, tol).value
     _check(out, "AFE is sign-blind", same == ref)
@@ -261,7 +258,7 @@ def verify_moments(seed: int = 0) -> list[Check]:
            f"worst rel = {worst:.2e}")
 
     tol = 1e-6
-    space, tabs = _eigendata_small(37, 3 * afe_cutoff(37, 0.5, tol), seed)
+    tabs = get_eigendata(37, 3 * afe_cutoff(37, 0.5, tol), seed)
     emp = mo.empirical_moment(tabs, 1, 3, 0.5, tol)
     tr = mo.trace_route_moment(tabs, 3, 0.5, tol)
     _check(out, "trace-route reconstruction at (3,37,0.5)", abs(emp - tr) < 1e-7,

@@ -28,7 +28,6 @@ def eigen_cache():
         space = hs.build_space(q)
         tables = hs.eigen_split(space, seed=0)
         tables = hs.extend_prime_eigenvalues(space, tables, target)
-        tables = [t.with_sign(hs.sign_of_functional_equation(t)) for t in tables]
         built[q] = (space, tables)
         return space, tables
 

@@ -305,8 +305,6 @@ def test_criterion9_determinism_and_persistence(tmp_path):
     space2 = hs.build_space(37)
     tabs2 = hs.extend_prime_eigenvalues(space2, hs.eigen_split(space2, seed=3), 512)
     p1, p2 = tmp_path / "c1.json", tmp_path / "c2.json"
-    tabs1 = [t.with_sign(hs.fe_sign_with_fallback(t)) for t in tabs1]
-    tabs2 = [t.with_sign(hs.fe_sign_with_fallback(t)) for t in tabs2]
     ha.save_eigendata(p1, 37, 3, 512, tabs1)
     ha.save_eigendata(p2, 37, 3, 512, tabs2)
     cache_ok = p1.read_bytes() == p2.read_bytes()

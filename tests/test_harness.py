@@ -13,8 +13,7 @@ from lfmoments import heckespace as hs
 @pytest.fixture(scope="module")
 def small_tables():
     space = hs.build_space(37)
-    tables = hs.extend_prime_eigenvalues(space, hs.eigen_split(space, seed=0), 512)
-    return [t.with_sign(hs.fe_sign_with_fallback(t)) for t in tables]
+    return hs.extend_prime_eigenvalues(space, hs.eigen_split(space, seed=0), 512)
 
 
 class TestCacheFile:
@@ -233,6 +232,42 @@ class TestCli:
         *_, n_max, tables = ha.load_eigendata(path)
         assert n_max >= 512
         assert tables[0].primes.tolist() == hs.primes_up_to(n_max).tolist()
+
+    def test_eigendata_below_the_level(self, eigen101, tmp_path):
+        # the sign needs lambda_f(q); the path engine computes it past n_max
+        out = self._run("eigendata", "--q", "11", "--n-max", "4", "--cache-dir", str(tmp_path))
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["signs"] == [1]
+        out = self._run("eigendata", "--q", "101", "--n-max", "64", "--seed", "0",
+                        "--cache-dir", str(tmp_path))
+        assert out.returncode == 0, out.stderr
+        signs = json.loads(out.stdout)["signs"]
+        assert signs == [t.sign for t in eigen101[1]] == [1, 1, 1, -1, 1, 1, 1, 1]
+        *_, n_max, tables = ha.load_eigendata(tmp_path / ha.cache_file_name(101, 0))
+        assert n_max == 64
+        for t in tables:
+            assert t.primes.tolist() == hs.primes_up_to(64).tolist()
+
+    def test_cli_import_loads_no_scipy(self):
+        code = ("import sys, lfmoments.cli; "
+                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+
+    def test_sweep_loads_no_module_after_import(self, tmp_path):
+        # numpy loads numpy.random and numpy.ma lazily; a sweep that did so
+        # would make its first level slower than the others
+        argv = ["sweep", "--qmin", "11", "--qmax", "11", "--p", "2", "--j", "1", "--t", "0",
+                "--tol", "1e-6", "--cache-dir", str(tmp_path), "--out", str(tmp_path / "s.csv")]
+        code = ("import sys, lfmoments.cli; before = set(sys.modules); "
+                f"code = lfmoments.cli.main({argv!r}); "
+                "print(code, sorted(set(sys.modules) - before))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip().splitlines()[-1] == "0 []"
 
     def test_usage_error_exit_code(self):
         out = self._run("moment", "--q", "11")

@@ -323,6 +323,20 @@ class TestFunctionalEquationSign:
         _, tables = eigen101
         assert all(t.sign in (-1, 1) for t in tables)
 
+    def test_sign_off_unit_raises(self, eigen11, monkeypatch):
+        space, _ = eigen11
+        engine = hs._path_accumulators
+
+        def off_at_q(space, ell, v):  # sqrt(11) lambda_f(11) becomes 0.9
+            acc0, accv = engine(space, ell, v)
+            if ell == space.q:
+                return 0.9 * acc0, None if accv is None else 0.9 * accv
+            return acc0, accv
+
+        monkeypatch.setattr(hs, "_path_accumulators", off_at_q)
+        with pytest.raises(hs.IndeterminateSignError, match="q=11, form 0"):
+            hs.extend_prime_eigenvalues(space, hs.eigen_split(space, seed=0), 64)
+
     def test_sign_matches_lambda_q(self, eigen101):
         # prime-level fact: eps_f = + sqrt(q) lambda_f(q)
         _, tables = eigen101

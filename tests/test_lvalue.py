@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -43,7 +44,7 @@ class TestAfe:
 
     def test_sign_never_read(self, eigen11):
         _, tables = eigen11
-        flipped = tables[0].with_sign(-tables[0].sign)
+        flipped = dataclasses.replace(tables[0], sign=-tables[0].sign)
         assert lv.l_squared_afe(flipped, 0.5, 1e-6).value == \
             lv.l_squared_afe(tables[0], 0.5, 1e-6).value
 
@@ -84,6 +85,12 @@ class TestCentralOracle:
             for table, afe in zip(tables, afes):
                 oracle = lv.l_central_oracle(table, 1e-9)
                 assert abs(oracle ** 2 - afe.value.real) < 2e-6
+
+    def test_table_without_sign_raises(self, eigen11):
+        space, _ = eigen11
+        unsigned = hs.eigen_split(space, seed=0)[0]  # sign 0 until the path engine runs
+        with pytest.raises(ValueError, match="form 0 at q=11 carries no FE sign"):
+            lv.l_central_oracle(unsigned, 1e-9)
 
     def test_odd_form_vanishes(self, eigen37):
         _, tables = eigen37
