@@ -8,7 +8,9 @@ The primary route is the two-term AFE for L(1/2+it, f)^2:
 
 with the lattice n d^2 truncated by the kernel-decay cutoff.  S(t) is
 linear in lambda_f, so it is lambda_f @ V with one weight vector V per
-(q, t, cutoff) shared by every form (afe_weights).  The
+(q, t, cutoff) (afe_weights, the one cache of the lattice).  Every n d^2
+sum reads it: each form, the trace route, and the Delta_2/Delta_3
+blocks of moments; afe_assemble forms L^2 from S.  The
 independent cross-route at t=0 is the classical exponentially smoothed
 series for the completed L-function (no contour quadrature involved):
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from .special import divisor_sieve, gamma
 
 __all__ = [
     "AfeResult",
+    "afe_assemble",
     "afe_cutoff",
     "afe_weights",
     "l_squared_afe",
@@ -50,31 +54,12 @@ def afe_cutoff(q: int, t: float, tol: float) -> int:
     amp = abs(gamma(1.0 + 1j * t)) ** 2
     return truncation_cutoff(q, 1, min(tol * amp, 1e-4))
 
-# key -> [W_t grid] or [W_t grid, AFE weight vector V built from it]
-_WT_CACHE: dict[tuple[float, float, int, float], list[np.ndarray]] = {}
-
-
-def _wt_key(denom: float, t: float, n: int, tol: float) -> tuple[float, float, int, float]:
-    return (round(float(denom), 9), float(t), int(n), min(float(tol), 1e-8))
-
 
 def wt_lattice(denom: float, t: float, n: int, tol: float) -> np.ndarray:
-    """W_t(4 pi^2 k / denom), k = 1..n, in a 9-entry LRU cache.
-
-    The grid is evaluated at min(tol, 1e-8), so that is the tol in the key.
-    """
-    key = _wt_key(denom, t, n, tol)
-    if key in _WT_CACHE:
-        _WT_CACHE[key] = _WT_CACHE.pop(key)  # most recently used goes last
-    else:
-        if len(_WT_CACHE) >= 9:
-            del _WT_CACHE[next(iter(_WT_CACHE))]
-        ys = 4.0 * math.pi ** 2 * np.arange(1, n + 1, dtype=np.float64) / denom
-        vals = wt_grid(t, ys, KernelParams(t=t, tol=key[3]))
-        if t == 0.0:
-            vals = vals.real
-        _WT_CACHE[key] = [vals]
-    return _WT_CACHE[key][0]
+    """W_t(4 pi^2 k / denom), k = 1..n, evaluated at min(tol, 1e-8); real at t = 0."""
+    ys = 4.0 * math.pi ** 2 * np.arange(1, n + 1, dtype=np.float64) / denom
+    vals = wt_grid(t, ys, KernelParams(t=t, tol=min(tol, 1e-8)))
+    return vals.real if t == 0.0 else vals
 
 
 def afe_weights(q: int, t: float, n: int, tol: float) -> np.ndarray:
@@ -82,22 +67,33 @@ def afe_weights(q: int, t: float, n: int, tol: float) -> np.ndarray:
 
         V(k) = tau(k) k^{-1/2-it} sum_{d^2 k <= n, (d,q)=1} d^{-1-2it} W_t(4 pi^2 k d^2 / q).
 
-    Built on first request and kept in the cache entry of the W_t grid it
-    is built from, so it lives and is evicted with that grid.
+    Read-only and kept in a 9-entry LRU cache keyed on (q, t, n, min(tol, 1e-8)),
+    the tol the W_t grid is evaluated at; the grid itself is not kept.
     """
+    return _afe_weights(int(q), float(t), int(n), min(float(tol), 1e-8))
+
+
+@lru_cache(maxsize=9)
+def _afe_weights(q: int, t: float, n: int, tol: float) -> np.ndarray:
     w = wt_lattice(float(q), t, n, tol)
-    entry = _WT_CACHE[_wt_key(q, t, n, tol)]
-    if len(entry) == 1:
-        v = np.zeros(n, dtype=w.dtype)
-        for d in range(1, math.isqrt(n) + 1):
-            if d % q != 0:
-                dd = d * d
-                v[:n // dd] += w[dd - 1::dd] * (1.0 / d if t == 0.0 else d ** (-1.0 - 2j * t))
-        k = np.arange(1, n + 1, dtype=np.float64)
-        k_pow = 1.0 / np.sqrt(k) if t == 0.0 else np.exp((-0.5 - 1j * t) * np.log(k))
-        v *= divisor_sieve(n)[1:] * k_pow
-        entry.append(v)
-    return entry[1]
+    v = np.zeros(n, dtype=w.dtype)
+    for d in range(1, math.isqrt(n) + 1):
+        if d % q != 0:
+            dd = d * d
+            v[:n // dd] += w[dd - 1::dd] * (1.0 / d if t == 0.0 else d ** (-1.0 - 2j * t))
+    k = np.arange(1, n + 1, dtype=np.float64)
+    k_pow = 1.0 / np.sqrt(k) if t == 0.0 else np.exp((-0.5 - 1j * t) * np.log(k))
+    v *= divisor_sieve(n)[1:] * k_pow
+    v.flags.writeable = False
+    return v
+
+
+def afe_assemble(s: complex, q: int, t: float) -> complex:
+    """Gamma(1+it)^{-2} [S + (q/4pi^2)^{-2it} conj(S)] from the lattice sum S; 2 Re S at t = 0."""
+    if t == 0.0:
+        return complex(2.0 * s.real)
+    rot = cmath.exp(-2j * t * math.log(q / (4.0 * math.pi ** 2)))
+    return 1.0 / gamma(1.0 + 1j * t) ** 2 * (s + rot * s.conjugate())
 
 
 def _tail_model(q: int, scale: int, n: int) -> float:
@@ -142,16 +138,9 @@ def l_squared_many(tables: list[EigenformTable], t: float, tol: float = 1e-8) ->
     v = afe_weights(q, t, n_cutoff, tol)
     d_cutoff = int(math.isqrt(n_cutoff))
     tail = _tail_model(q, 1, n_cutoff) / amp
-    g2inv = 1.0 / gamma(1.0 + 1j * t) ** 2
-    rot = cmath.exp(-2j * t * math.log(q / (4.0 * math.pi ** 2)))
-    out = []
-    for s in np.vstack([table.full(n_cutoff)[1:n_cutoff + 1] for table in tables]) @ v:
-        if t == 0.0:
-            value = complex(2.0 * s)
-        else:
-            value = g2inv * (s + rot * s.conjugate())
-        out.append(AfeResult(value=value, n_cutoff=n_cutoff, d_cutoff=d_cutoff, tail_bound=tail))
-    return out
+    sums = np.vstack([table.full(n_cutoff)[1:n_cutoff + 1] for table in tables]) @ v
+    return [AfeResult(value=afe_assemble(s, q, t), n_cutoff=n_cutoff, d_cutoff=d_cutoff,
+                      tail_bound=tail) for s in sums]
 
 
 def l_central_oracle(table: EigenformTable, tol: float = 1e-8) -> float:

@@ -33,11 +33,13 @@ from functools import lru_cache
 import numpy as np
 
 from .heckespace import EigenformTable
-from .lvalue import afe_cutoff, afe_weights, l_squared_many, wt_lattice
+from .lvalue import afe_assemble, afe_cutoff, afe_weights, l_squared_many
+from .smoothing import KernelParams, halving_quad, wt_grid
 from .special import (
     divisor_sieve,
     gamma,
     gamma_vec,
+    is_prime,
     primes_up_to,
     zeta,
     zeta_constants,
@@ -91,6 +93,14 @@ class MomentRecord:
     warnings: tuple[str, ...] = ()
 
 
+def _check_p(p: int, q: int | None) -> None:
+    """The moments are stated for a prime p other than the level q."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    if p == q:
+        raise ValueError(f"p must differ from the level q={q}")
+
+
 # ---------------------------------------------------------------------------
 # Empirical side
 
@@ -101,11 +111,9 @@ def empirical_moment(
     """sum_f L(1/2+it,f)^2 lambda_f(p^j); the empty family sums to 0."""
     if j not in (1, 2):
         raise ValueError(f"j must be 1 or 2, got {j}")
+    _check_p(p, tables[0].q if tables else None)
     if not tables:
         return 0.0 + 0.0j
-    q = tables[0].q
-    if p == q:
-        raise ValueError("p must differ from the level q")
     pj = p ** j
     results = l_squared_many(tables, t, tol)
     acc = 0.0 + 0.0j
@@ -120,8 +128,7 @@ def empirical_moment(
 
 def main_term_thm11(p: int, q: int, t: float) -> complex:
     """Main term of the first-power moment A(p,q,t), both t-branches."""
-    if p == q:
-        raise ValueError("p must differ from q")
+    _check_p(p, q)
     if abs(t) < T_ZERO_EPS:
         c = _zc()
         bracket = (
@@ -165,8 +172,7 @@ def main_term_thm11(p: int, q: int, t: float) -> complex:
 
 def main_term_thm12(p: int, q: int, t: float) -> complex:
     """Main term of the square-power moment A(p^2,q,t), both t-branches."""
-    if p == q:
-        raise ValueError("p must differ from q")
+    _check_p(p, q)
     if abs(t) < T_ZERO_EPS:
         c = _zc()
         shape = p + (p + 1.0) * (3.0 - p ** -2) / (1.0 + p ** -2)
@@ -319,8 +325,7 @@ def _residue_parts(kind: str, p: int, q: int, t: float, exact: bool) -> tuple[co
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}")
-    if p == q:
-        raise ValueError("p must differ from q")
+    _check_p(p, q)
     c = _zc()
     if abs(t) < T_ZERO_EPS:
         extra = 2.0 * math.log(q) / q / (1.0 - 1.0 / q) if exact else 0.0
@@ -406,15 +411,8 @@ def _mellin_line(kind: str, p: int, q: int, t: float, sigma: float, step: float,
 
 def _refined_mellin_line(kind: str, p: int, q: int, t: float, sigma: float, tol: float) -> complex:
     halfwidth = max(8.0, abs(t) + 8.0)
-    step = 0.05
-    prev = _mellin_line(kind, p, q, t, sigma, step, halfwidth)
-    for _ in range(3):
-        step *= 0.5
-        cur = _mellin_line(kind, p, q, t, sigma, step, halfwidth)
-        if abs(cur - prev) <= tol * 0.1:
-            return cur
-        prev = cur
-    raise RuntimeError(f"mellin quadrature did not stabilize for {kind} at (p={p}, q={q}, t={t})")
+    return halving_quad(lambda step: _mellin_line(kind, p, q, t, sigma, step, halfwidth), 0.05, tol,
+                        f"mellin quadrature for {kind} at (p={p}, q={q}, t={t}, sigma={sigma})")
 
 
 def mellin_numeric(kind: str, p: int, q: int, t: float, tol: float = 1e-10) -> complex:
@@ -478,6 +476,7 @@ def trace_route_moment(tables: list[EigenformTable], p: int, t: float, tol: floa
     that each form's lambda_f(n) meets there; tables must extend to
     p * afe_cutoff(q, t, tol).
     """
+    _check_p(p, tables[0].q if tables else None)
     if not tables:
         return 0.0 + 0.0j
     q = tables[0].q
@@ -489,104 +488,59 @@ def trace_route_moment(tables: list[EigenformTable], p: int, t: float, tol: floa
     gvals = tr[p * np.arange(1, n_cutoff + 1)].copy()
     mult = np.arange(1, n_cutoff + 1) % p == 0
     gvals[mult] += tr[np.arange(1, n_cutoff + 1)[mult] // p]
-    acc = gvals @ afe_weights(q, t, n_cutoff, tol)
-    it = 1j * t
-    if abs(t) < T_ZERO_EPS:
-        return complex(2.0 * acc.real)
-    g2inv = 1.0 / gamma(1.0 + it) ** 2
-    rot = cmath.exp(-2.0 * it * math.log(q / _FOUR_PI_SQ))
-    return g2inv * (acc + rot * acc.conjugate())
+    return afe_assemble(gvals @ afe_weights(q, t, n_cutoff, tol), q, t)
 
 
 def m1_square_block(p: int, q: int, t: float, tol: float = 1e-8) -> complex:
     """The k-square main-term block of the coprime branch, assembled literally.
 
-    Coefficients carry tau(k/p) and the Moebius sum over d | (k/p, p); for
-    square k divisible by p the Moebius sum vanishes, so the whole block is
-    identically zero.  Returned for the numeric assertion.
+    Squares k <= pN with p | k carry tau(k/p) times the Moebius sum over
+    d | (k/p, p), which is [p does not divide k/p]; W_t(4 pi^2 k d^2 / pq)
+    is evaluated only where that coefficient is nonzero.  p | r^2 forces
+    p | r^2/p, so no coefficient is, no kernel point is evaluated, and the
+    block is exactly 0j.  Returned for the numeric assertion.
     """
+    _check_p(p, q)
     n_cutoff = afe_cutoff(q, t, tol)
     lattice = p * n_cutoff
-    w = wt_lattice(float(p * q), t, lattice, tol)
-    ks = np.arange(1, int(math.isqrt(lattice)) + 1) ** 2
-    ks = ks[ks % p == 0]
-    acc = 0.0 + 0.0j
-    tau = divisor_sieve(max(1, lattice // p))
-    it = 1j * t
-    for k in ks.tolist():
-        kp = k // p
-        mu_sum = 1 if kp % p != 0 else 0
-        if mu_sum == 0:
-            coeff = 0.0
-        else:
-            coeff = float(tau[kp]) * mu_sum
-        d = 1
-        while k * d * d <= lattice:
-            if d % q != 0 and coeff != 0.0:
-                acc += (
-                    coeff
-                    * cmath.exp((-1.0 - it) * math.log(k))
-                    * cmath.exp((-1.0 - 2j * t) * math.log(d))
-                    * w[k * d * d - 1]
-                )
-            d += 1
-    return q * p ** (0.5 + 1j * t) / 12.0 * acc
+    k = np.arange(p, math.isqrt(lattice) + 1, p) ** 2
+    coeff = np.where(k // p % p != 0, divisor_sieve(n_cutoff)[k // p], 0)
+    d = np.arange(1, math.isqrt(lattice) + 1)
+    d = d[d % q != 0]
+    i, j = np.nonzero((coeff[:, None] != 0) & (np.multiply.outer(k, d * d) <= lattice))
+    w = wt_grid(t, _FOUR_PI_SQ * (k[i] * d[j] ** 2) / (p * q), KernelParams(t=t, tol=min(tol, 1e-8)))
+    acc = np.sum(coeff[i] * np.exp((-1.0 - 1j * t) * np.log(k[i]))
+                 * np.exp((-1.0 - 2j * t) * np.log(d[j])) * w)
+    return q * p ** (0.5 + 1j * t) / 12.0 * complex(acc)
 
 
 def delta23_trace_route(p: int, q: int, t: float, tol: float = 1e-8) -> tuple[complex, complex]:
-    """(Delta_2, Delta_3) main-term blocks of the square-power moment.
+    """(Delta_2, Delta_3) main-term blocks of the square-power moment, read off V.
 
-    Delta_2 sums squares divisible by p; Delta_3 sums tau(m p^2) over
-    squares m.  They satisfy Delta_2 = Delta_3 / p termwise.
+    Delta_2 sums the squares n = r^2 with p | r: tau(n) n^{-1-it} times the
+    d-sum of W_t(4 pi^2 n d^2 / q) is V(n)/sqrt(n), so Delta_2 = q/12 sum V(r^2)/r.
+    Delta_3 sums the squares m with its own coefficient tau(m p^2) =
+    (alpha+3) tau(m/p^alpha), alpha = v_p(m), and its own powers
+    m^{-1-it}/p^{1+2it}, applied to the d-folded kernel
+    D(k) = V(k) k^{1/2+it}/tau(k) at k = m p^2.  Delta_2 = Delta_3/p then
+    checks the sieve tau against the (alpha+3) formula and the two power
+    bookkeepings.
     """
+    _check_p(p, q)
     n_cutoff = afe_cutoff(q, t, tol)
-    w = wt_lattice(float(q), t, n_cutoff, tol)
-    it = 1j * t
+    v = afe_weights(q, t, n_cutoff, tol)
     tau = divisor_sieve(n_cutoff)
-
-    def d_sum(kmax: int) -> list[int]:
-        ds = []
-        d = 1
-        while d * d <= kmax:
-            if d % q != 0:
-                ds.append(d)
-            d += 1
-        return ds
-
-    # Delta_2: n = square, p | n, n d^2 <= cutoff
-    acc2 = 0.0 + 0.0j
-    roots = np.arange(1, int(math.isqrt(n_cutoff)) + 1)
-    squares = roots * roots
-    mask = squares % p == 0
-    for nn in squares[mask].tolist():
-        for d in d_sum(n_cutoff // nn):
-            acc2 += (
-                float(tau[nn])
-                * cmath.exp((-1.0 - it) * math.log(nn))
-                * cmath.exp((-1.0 - 2j * t) * math.log(d))
-                * w[nn * d * d - 1]
-            )
-    delta2 = q / 12.0 * acc2
-    # Delta_3: m = square, m p^2 d^2 <= cutoff, coefficient tau(m p^2)
-    acc3 = 0.0 + 0.0j
-    for rr in roots.tolist():
-        m = rr * rr
-        if m * p * p > n_cutoff:
-            break
-        alpha = 0
-        mm = m
-        while mm % p == 0:
-            alpha += 1
-            mm //= p
-        tau_mp2 = (alpha + 3) * int(tau[mm])
-        for d in d_sum(n_cutoff // (m * p * p)):
-            acc3 += (
-                float(tau_mp2)
-                * cmath.exp((-1.0 - it) * math.log(m))
-                * cmath.exp((-1.0 - 2j * t) * math.log(d))
-                * w[m * p * p * d * d - 1]
-            )
-    delta3 = q / (12.0 * p ** (1.0 + 2.0 * it)) * acc3
+    r = np.arange(p, math.isqrt(n_cutoff) + 1, p)
+    delta2 = q / 12.0 * complex(np.sum(v[r * r - 1] / r))
+    m = np.arange(1, math.isqrt(n_cutoff // (p * p)) + 1) ** 2
+    mm, alpha = m.copy(), np.zeros(m.size, dtype=np.int64)
+    while (div := mm % p == 0).any():
+        alpha += div
+        mm[div] //= p
+    k = m * p * p
+    kernel = v[k - 1] * np.exp((0.5 + 1j * t) * np.log(k)) / tau[k]
+    acc3 = np.sum((alpha + 3) * tau[mm] * np.exp((-1.0 - 1j * t) * np.log(m)) * kernel)
+    delta3 = q / (12.0 * p ** (1.0 + 2.0j * t)) * complex(acc3)
     return delta2, delta3
 
 

@@ -18,12 +18,15 @@ the residue at u = 0 plus the integral on Re u = -0.9, and the agreement
 of the two routes is a standing cross-check.
 
 truncation_cutoff converts the kernel's superexponential decay into the
-lattice cutoff used by every downstream n,d-sum.
+lattice cutoff used by every downstream n,d-sum.  halving_quad is the one
+step-halving self-check of every vertical-line quadrature: this kernel's
+and the Mellin lines of moments.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,6 +36,7 @@ from .special import gamma, gamma_vec
 __all__ = [
     "KernelParams",
     "QuadratureError",
+    "halving_quad",
     "wt_eval",
     "wt_eval_shifted",
     "wt_grid",
@@ -100,25 +104,31 @@ def _line_quad(t: float, ys: np.ndarray, sigma: float, step: float, halfwidth: f
     out = np.empty(ys.shape, dtype=np.complex128)
     chunk = max(1, 250_000 // u.size)  # 4 MB blocks; larger ones are no faster
     for lo in range(0, ys.size, chunk):
-        e = np.exp(np.multiply.outer(-ln_y[lo:lo + chunk], u))
+        e = np.multiply.outer(-ln_y[lo:lo + chunk], u)
+        np.exp(e, out=e)  # in place: one 4 MB block live, not two
         out[lo:lo + chunk] = e @ coeff
     return out
 
 
-def _refined_line_quad(t: float, ys: np.ndarray, sigma: float, params: KernelParams) -> np.ndarray:
-    """Line integral with one halving self-check, refining until stable."""
-    step = params.quad_step
-    halfwidth = max(params.quad_halfwidth, abs(t) + 6.0)
-    prev = _line_quad(t, ys, sigma, step, halfwidth)
+def halving_quad(quad: Callable[[float], np.ndarray | complex], step: float, tol: float,
+                 what: str) -> np.ndarray | complex:
+    """quad(step), then quad at up to 3 halvings of the step, until two
+    successive values differ by at most tol/10 everywhere; else QuadratureError."""
+    prev = quad(step)
     for _ in range(3):
         step *= 0.5
-        cur = _line_quad(t, ys, sigma, step, halfwidth)
-        if float(np.max(np.abs(cur - prev))) <= params.tol * 0.1:
+        cur = quad(step)
+        if float(np.max(np.abs(cur - prev))) <= tol * 0.1:
             return cur
         prev = cur
-    raise QuadratureError(
-        f"kernel quadrature did not stabilize at tol={params.tol} (t={t}, sigma={sigma})"
-    )
+    raise QuadratureError(f"{what} did not stabilize at tol={tol}")
+
+
+def _refined_line_quad(t: float, ys: np.ndarray, sigma: float, params: KernelParams) -> np.ndarray:
+    """The W_t line integral on Re u = sigma, refined by halving_quad."""
+    halfwidth = max(params.quad_halfwidth, abs(t) + 6.0)
+    return halving_quad(lambda step: _line_quad(t, ys, sigma, step, halfwidth), params.quad_step,
+                        params.tol, f"kernel quadrature (t={t}, sigma={sigma})")
 
 
 def wt_eval(params: KernelParams, y: float) -> complex:

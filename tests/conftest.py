@@ -106,3 +106,48 @@ def afe_assemble(s: complex, q: int, t: float) -> complex:
         return complex(2.0 * s.real)
     rot = cmath.exp(-2j * t * math.log(q / (4.0 * math.pi ** 2)))
     return (s + rot * s.conjugate()) / gamma(1.0 + 1j * t) ** 2
+
+
+def delta23_by_d(p: int, q: int, t: float, n_cutoff: int, w: np.ndarray) -> tuple[complex, complex]:
+    """(Delta_2, Delta_3) one lattice point at a time, w[k-1] = W_t(4 pi^2 k / q).
+
+    Delta_2 sums tau(n) n^{-1-it} d^{-1-2it} W_t(n d^2) over squares n with
+    p | n; Delta_3 sums tau(m p^2) m^{-1-it} d^{-1-2it} W_t(m p^2 d^2) over
+    squares m, over p^{1+2it}.  The oracle for the blocks read off V.
+    """
+    it = 1j * t
+    tau = divisor_sieve(n_cutoff)
+
+    def d_sum(kmax: int) -> list[int]:
+        return [d for d in range(1, math.isqrt(kmax) + 1) if d % q != 0]
+
+    acc2 = 0.0 + 0.0j
+    roots = np.arange(1, math.isqrt(n_cutoff) + 1)
+    squares = roots * roots
+    for nn in squares[squares % p == 0].tolist():
+        for d in d_sum(n_cutoff // nn):
+            acc2 += (
+                float(tau[nn])
+                * cmath.exp((-1.0 - it) * math.log(nn))
+                * cmath.exp((-1.0 - 2j * t) * math.log(d))
+                * w[nn * d * d - 1]
+            )
+    acc3 = 0.0 + 0.0j
+    for rr in roots.tolist():
+        m = rr * rr
+        if m * p * p > n_cutoff:
+            break
+        alpha = 0
+        mm = m
+        while mm % p == 0:
+            alpha += 1
+            mm //= p
+        tau_mp2 = (alpha + 3) * int(tau[mm])
+        for d in d_sum(n_cutoff // (m * p * p)):
+            acc3 += (
+                float(tau_mp2)
+                * cmath.exp((-1.0 - it) * math.log(m))
+                * cmath.exp((-1.0 - 2j * t) * math.log(d))
+                * w[m * p * p * d * d - 1]
+            )
+    return q / 12.0 * acc2, q / (12.0 * p ** (1.0 + 2.0 * it)) * acc3

@@ -216,6 +216,13 @@ class TestCli:
         data = json.loads(out.stdout)
         assert abs(data["empirical"][0] - (-0.0911246)) < 1e-5
 
+    @pytest.mark.parametrize("p", ["4", "1", "37"])
+    def test_p_not_a_prime_other_than_q_exits_3(self, p, tmp_path):
+        out = self._run("mainterm", "--q", "37", "--p", p)
+        assert out.returncode == 3 and "error: p must" in out.stderr
+        out = self._run("moment", "--q", "37", "--p", p, "--tol", "1e-4", "--cache-dir", str(tmp_path))
+        assert out.returncode == 3 and "error: p must" in out.stderr
+
     def test_moment_rebuilds_partial_cache(self, tmp_path):
         out = self._run("eigendata", "--q", "11", "--n-max", "1024", "--seed", "0",
                         "--cache-dir", str(tmp_path))

@@ -129,18 +129,25 @@ class TestOffCenterOracle:
 
 
 class TestWtLatticeCache:
+    """The one cache of the lattice: afe_weights, keyed on the tol its W_t grid is evaluated at."""
+
     def test_tols_evaluated_alike_share_one_grid(self):
-        # both grids are evaluated at min(tol, 1e-8), so they are one entry
-        a = lv.wt_lattice(101.0, 0.0, 256, 1e-4)
-        assert lv.wt_lattice(101.0, 0.0, 256, 1e-5) is a
+        # both weight vectors come from grids evaluated at min(tol, 1e-8), so they are one entry
+        a = lv.afe_weights(101, 0.0, 256, 1e-4)
+        assert lv.afe_weights(101, 0.0, 256, 1e-5) is a
 
     def test_lru_keeps_the_grid_in_use(self):
-        live = lv.wt_lattice(997.0, 0.0, 64, 1e-4)
-        others = [lv.wt_lattice(1000.0 + k, 0.0, 64, 1e-4) for k in range(8)]
-        assert lv.wt_lattice(997.0, 0.0, 64, 1e-4) is live
-        lv.wt_lattice(2000.0, 0.0, 64, 1e-4)  # a tenth grid evicts the least recently used
-        assert lv.wt_lattice(997.0, 0.0, 64, 1e-4) is live
-        assert lv.wt_lattice(1000.0, 0.0, 64, 1e-4) is not others[0]
+        live = lv.afe_weights(997, 0.0, 64, 1e-4)
+        others = [lv.afe_weights(1000 + k, 0.0, 64, 1e-4) for k in range(8)]
+        assert lv.afe_weights(997, 0.0, 64, 1e-4) is live
+        lv.afe_weights(2000, 0.0, 64, 1e-4)  # a tenth entry evicts the least recently used
+        assert lv.afe_weights(997, 0.0, 64, 1e-4) is live
+        assert lv.afe_weights(1000, 0.0, 64, 1e-4) is not others[0]
+
+    def test_weights_are_read_only(self):
+        v = lv.afe_weights(101, 0.5, 256, 1e-4)
+        with pytest.raises(ValueError):
+            v[0] = 0.0
 
 
 class TestWeightVector:
@@ -170,7 +177,7 @@ class TestWeightVector:
                 calls[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(lv, name, counted)
-        monkeypatch.setattr(lv, "_WT_CACHE", {})
+        lv._afe_weights.cache_clear()
         n = lv.afe_cutoff(101, t, tol)
         v = lv.afe_weights(101, t, n, tol)
         lv.l_squared_many(tables, t, tol)

@@ -5,7 +5,10 @@ import pytest
 
 from lfmoments import moments as mo
 from lfmoments.lvalue import afe_cutoff, wt_lattice
+from lfmoments.smoothing import QuadratureError
 from lfmoments.special import divisor_sieve
+
+from conftest import delta23_by_d
 
 
 class TestEmpiricalMoment:
@@ -172,6 +175,10 @@ class TestResidueVsContour:
         m = mo.mellin_numeric(kind, p, q, t)
         assert abs(r - m) < 1e-8
 
+    def test_unstable_line_raises_quadrature_error(self):
+        with pytest.raises(QuadratureError, match="mellin quadrature for M22"):
+            mo.mellin_numeric("M22", 2, 101, 0.0, tol=1e-30)
+
     def test_exact_vs_printed_difference(self):
         # at t=0 the exact form keeps the 2 log(q) / (q-1) zeta_q-derivative term
         q = 101
@@ -227,10 +234,53 @@ class TestTraceRoute:
         for (p, q, t) in ((2, 101, 0.0), (3, 37, 0.5)):
             assert abs(mo.m1_square_block(p, q, t, 1e-6)) < 1e-9
 
+    def test_m1_evaluates_no_kernel_point(self, monkeypatch):
+        sizes = []
+
+        def recorded(t, ys, params=None, _fn=mo.wt_grid):
+            sizes.append(np.asarray(ys).size)
+            return _fn(t, ys, params)
+
+        monkeypatch.setattr(mo, "wt_grid", recorded)
+        for p in (2, 3, 5):
+            for q in (37, 101):
+                for t in (0.0, 0.5):
+                    assert mo.m1_square_block(p, q, t, 1e-6) == 0j
+        assert sum(sizes) == 0
+
+    @pytest.mark.parametrize("p,q,t", [(2, 101, 0.0), (3, 37, 0.5), (2, 101, 1.0), (5, 101, -1.25)])
+    def test_delta23_matches_per_term_loops(self, p, q, t):
+        tol = 1e-6
+        n = afe_cutoff(q, t, tol)
+        ref = delta23_by_d(p, q, t, n, wt_lattice(float(q), t, n, tol))
+        got = mo.delta23_trace_route(p, q, t, tol)
+        for a, b in zip(got, ref):
+            assert abs(a - b) <= 1e-12 * abs(b)
+
     def test_delta2_is_delta3_over_p(self):
         for (p, q, t) in ((2, 101, 0.0), (3, 37, 0.5)):
             d2, d3 = mo.delta23_trace_route(p, q, t, 1e-6)
             assert abs(d2 - d3 / p) < 1e-9
+
+
+class TestPrimeP:
+    """Every moment and main-term function is stated for a prime p other than q."""
+
+    @pytest.mark.parametrize("p", [1, 4, 37])
+    def test_each_function_raises(self, eigen37, p):
+        _, tables = eigen37
+        calls = [
+            lambda: mo.empirical_moment(tables, 1, p, 0.0, 1e-4),
+            lambda: mo.trace_route_moment(tables, p, 0.0, 1e-4),
+            lambda: mo.m1_square_block(p, 37, 0.0, 1e-4),
+            lambda: mo.delta23_trace_route(p, 37, 0.0, 1e-4),
+            lambda: mo.residue_closed_form("M22", p, 37, 0.0),
+            lambda: mo.main_term_thm11(p, 37, 0.5),
+            lambda: mo.main_term_thm12(p, 37, 0.0),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="prime|level"):
+                call()
 
 
 class TestMomentRecord:
