@@ -148,7 +148,7 @@ def _cmd_sweep(args) -> int:
         j_list=_parse_int_list(args.j),
         t_list=_parse_float_list(args.t),
         tol=args.tol, seed=args.seed,
-        cache_dir=args.cache_dir, out_path=args.out,
+        cache_dir=args.cache_dir,
         threads=args.threads, timings=args.timings,
     )
     rows, warnings = run_sweep(config)

@@ -62,7 +62,6 @@ class SweepConfig:
     tol: float = 1e-6
     seed: int = 0
     cache_dir: str | None = None
-    out_path: str | None = None
     threads: int = 1
     timings: bool = False
 

@@ -616,14 +616,17 @@ def eigen_split(space: HeckeSpace, seed: int = 0) -> list[EigenformTable]:
     """Split the cuspidal plus-quotient into eigenforms.
 
     Diagonalizes a seeded random positive combination c2 T2 + c3 T3 + c5 T5
-    numerically; the Eisenstein line (strictly largest eigenvalue, Deligne)
-    is dropped.  An eigenvalue collision below 1e-6 adds T7 and T11 to the
-    combination for the following draws (two forms at q=1201 share a_2, a_3
-    and a_5); other failures redraw, up to ten draws in all.  Forms are
-    ordered by lambda at the primes of the combination: forms that tie at
-    2, 3 and 5 collide, so 7 and 11 are in the key whenever they can matter.
-    Tables carry lambda at p in {2,3,5} only and sign 0; use
-    extend_prime_eigenvalues for the other primes and the sign.
+    numerically, with one eig = (ev, W); the left eigenvectors are the rows
+    of inv(W), normalized so that inv(W)[i] @ W[:, i] = 1, and give the
+    classical a_n as diag(inv(W) T_n W).  The Eisenstein line (strictly
+    largest eigenvalue, Deligne) is dropped.  An eigenvalue collision below
+    1e-6 adds T7 and T11 to the combination for the following draws (two
+    forms at q=1201 share a_2, a_3 and a_5); complex eigenvalues, or a W
+    whose 1-norm condition number exceeds 1e8, redraw, up to ten draws in
+    all.  Forms are ordered by lambda at the primes of the combination:
+    forms that tie at 2, 3 and 5 collide, so 7 and 11 are in the key
+    whenever they can matter.  Tables carry lambda at p in {2,3,5} only and
+    sign 0; use extend_prime_eigenvalues for the other primes and the sign.
     """
     if space.dim == 0:
         return []
@@ -635,58 +638,41 @@ def eigen_split(space: HeckeSpace, seed: int = 0) -> list[EigenformTable]:
         c = rng.integers(1, 101, size=len(ops))
         amat = sum(ci * tn for ci, tn in zip(c, t_float.values()))
         evals, wvecs = np.linalg.eig(amat)
-        evalsl, uvecs = np.linalg.eig(amat.T)
-        scale = float(np.max(np.abs(evals)))
-        if float(np.max(np.abs(evals.imag))) > 1e-8 * scale:
+        if float(np.max(np.abs(evals.imag))) > 1e-8 * float(np.max(np.abs(evals))):
             last_err = "complex eigenvalues"
             continue
         ev = evals.real
-        evl = evalsl.real
-        eis = int(np.argmax(ev))
-        cusp_idx = [i for i in range(len(ev)) if i != eis]
-        gaps = np.diff(np.sort(np.concatenate([ev[cusp_idx], [ev[eis]]])))
+        gaps = np.diff(np.sort(ev))
         if len(gaps) and float(np.min(gaps)) < 1e-6:
             last_err = f"eigenvalue gap {float(np.min(gaps)):.2e} with T2..T{ops[-1]}"
             ops = (2, 3, 5, 7, 11)
             continue
-        order_l = np.argsort(evl)
-        order_r = np.argsort(ev)
-        if float(np.max(np.abs(np.sort(ev) - np.sort(evl)))) > 1e-6 * max(scale, 1.0):
-            last_err = "left/right eigenvalue mismatch"
+        w = wvecs.real
+        cond = float(np.linalg.cond(w, 1))  # inf when w is singular
+        if cond > 1e8:
+            last_err = f"eigenvector matrix has condition number {cond:.2e} > 1e8"
             continue
-        pair_of = dict(zip(order_r, order_l))
-        forms = []
-        for i in cusp_idx:
-            w = wvecs[:, i].real
-            u = uvecs[:, pair_of[i]].real
-            dual = u @ space.R
-            dual = dual / dual[int(np.argmax(np.abs(dual)))]
-            # classical a_n by two-sided Rayleigh quotient against exact T_n
-            denom = float(u @ w)
-            if abs(denom) < 1e-10 * float(np.linalg.norm(u) * np.linalg.norm(w)):
-                last_err = "degenerate left/right pairing"
-                forms = None
-                break
-            lam = {}
-            residual = 0.0
-            for n, tn in t_float.items():
-                a_n = float(u @ tn @ w) / denom
-                lam[n] = a_n / math.sqrt(n)
-                residual = max(
-                    residual,
-                    float(np.max(np.abs(tn @ w - a_n * w)) / np.max(np.abs(w))),
-                )
-            forms.append((lam, residual, dual))
-        if forms is None:
-            continue
+        u = np.linalg.inv(w)  # rows: left eigenvectors, u[i] @ w[:, i] = 1
+        # classical a_n = diag(u T_n w), with column residuals |T_n w - a_n w| / max|w|
+        lam = {}
+        residual = 0.0
+        for n, tn in t_float.items():
+            a_n = np.einsum("ij,ji->i", u @ tn, w)
+            lam[n] = a_n / math.sqrt(n)
+            residual = np.maximum(residual, np.max(np.abs(tn @ w - w * a_n), axis=0))
+        residual /= np.max(np.abs(w), axis=0)
+        eis = int(np.argmax(ev))
+        cusp = [i for i in range(len(ev)) if i != eis]
         # deterministic order: by normalized eigenvalues at the primes in ops
-        forms.sort(key=lambda t: tuple(round(t[0][n], 9) for n in ops))
+        cusp.sort(key=lambda i: tuple(round(float(lam[n][i]), 9) for n in ops))
+        duals = u[cusp] @ space.R
+        duals /= duals[np.arange(len(cusp)), np.argmax(np.abs(duals), axis=1)][:, None]
         primes_seed = np.array([2, 3, 5], dtype=np.int64)
         return [
             EigenformTable(q=space.q, index=pos, n_max=5, primes=primes_seed,
-                           prime_lambda=np.array([lam[2], lam[3], lam[5]]), sign=0,
-                           residual=residual, dual_vector=dual)
-            for pos, (lam, residual, dual) in enumerate(forms)
+                           prime_lambda=np.array([lam[2][i], lam[3][i], lam[5][i]]), sign=0,
+                           residual=float(residual[i]), dual_vector=duals[pos])
+            for pos, i in enumerate(cusp)
         ]
     raise SplitFailureError(f"eigen split failed after 10 draws at q={space.q}: {last_err}")
 

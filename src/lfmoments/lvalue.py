@@ -96,11 +96,11 @@ def afe_assemble(s: complex, q: int, t: float) -> complex:
     return 1.0 / gamma(1.0 + 1j * t) ** 2 * (s + rot * s.conjugate())
 
 
-def _tail_model(q: int, scale: int, n: int) -> float:
+def _tail_model(q: int, n: int) -> float:
     """Calibrated truncation-tail estimate for the AFE lattice sums."""
-    y = 4.0 * math.pi ** 2 * (n + 1) / (q * scale)
+    y = 4.0 * math.pi ** 2 * (n + 1) / q
     ln_y = math.log(y)
-    return math.sqrt(q * scale) * math.exp(-ln_y * ln_y / 4.0 + 1.65 * ln_y - 15.3)
+    return math.sqrt(q) * math.exp(-ln_y * ln_y / 4.0 + 1.65 * ln_y - 15.3)
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def l_squared_many(tables: list[EigenformTable], t: float, tol: float = 1e-8) ->
             )
     v = afe_weights(q, t, n_cutoff, tol)
     d_cutoff = int(math.isqrt(n_cutoff))
-    tail = _tail_model(q, 1, n_cutoff) / amp
+    tail = _tail_model(q, n_cutoff) / amp
     sums = np.vstack([table.full(n_cutoff)[1:n_cutoff + 1] for table in tables]) @ v
     return [AfeResult(value=afe_assemble(s, q, t), n_cutoff=n_cutoff, d_cutoff=d_cutoff,
                       tail_bound=tail) for s in sums]

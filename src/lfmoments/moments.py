@@ -252,18 +252,24 @@ def exchange_identity(
 
 
 def _tau_square_sieve(limit: int) -> np.ndarray:
-    """t[m] = tau(m^2) for m <= limit."""
+    """t[m] = tau(m^2) for m <= limit.
+
+    Each r^e || m with r <= sqrt(limit) gives 2e+1 (the multiples of r^e
+    trade the 2e-1 of r^{e-1} for it); the cofactor left after those primes
+    is 1 or one prime, which gives 3.
+    """
     t = np.ones(limit + 1, dtype=np.int64)
     t[0] = 0
-    for r in primes_up_to(limit).tolist():
+    rest = np.arange(limit + 1, dtype=np.int64)
+    for r in primes_up_to(math.isqrt(limit)).tolist():
         pe = r
         e = 1
         while pe <= limit:
-            idx = np.arange(pe, limit + 1, pe)
-            exact = (idx // pe) % r != 0
-            t[idx[exact]] *= 2 * e + 1
+            t[pe::pe] = t[pe::pe] // (2 * e - 1) * (2 * e + 1)
+            rest[pe::pe] //= r
             pe *= r
             e += 1
+    t[rest > 1] *= 3
     return t
 
 
@@ -313,61 +319,40 @@ def tau_square_series(
 # ---------------------------------------------------------------------------
 # Residue closed forms and the contour oracle
 
-_KINDS = ("M22", "Delta1", "Delta3")
+# kind -> (k, C, -x C'(x)/C(x)).  The kind's Mellin integrand is
+#   zeta_q(s1) zeta(s2)^3 / zeta(s4) C(p^{-s2}) X^{-u} Gamma(1+it+u)^2 e^{u^2} / u
+# with s1 = 1+2it+2u, s2 = s1+1, s4 = 2 s2 and X = 4 pi^2 p^k / q.
+_KINDS = {
+    "M22": (1, lambda x: 2.0 / (1.0 + x), lambda x: x / (1.0 + x)),
+    "Delta1": (0, lambda x: 1.0, lambda x: 0.0),
+    "Delta3": (2, lambda x: (3.0 - x) / (1.0 + x), lambda x: x / (3.0 - x) + x / (1.0 + x)),
+}
 
 
 def _residue_parts(kind: str, p: int, q: int, t: float, exact: bool) -> tuple[complex, complex]:
     """(pole_part, regular_part) of the residue sum for the kind's integrand.
 
-    t=0: single double pole; returned entirely as the regular part.
+    t=0: single double pole; returned entirely as the regular part, whose
+    bracket is -log X + 2 log p (-x C'/C)(p^{-2}) + 6 zeta'/zeta(2) - 4 zeta'/zeta(4).
     t!=0: pole_part is the u=-it residue (the -e^{-t^2}/it term), regular
     the u=0 residue.
     """
     if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}")
+        raise ValueError(f"kind must be one of {tuple(_KINDS)}")
+    k, c_of, d_of = _KINDS[kind]
     _check_p(p, q)
     c = _zc()
+    log_x = math.log(_FOUR_PI_SQ * p ** k / q)
+    pref = (1.0 - 1.0 / q) * c.zeta2 ** 3 / c.zeta4 * c_of(p ** -2) / 2.0
     if abs(t) < T_ZERO_EPS:
         extra = 2.0 * math.log(q) / q / (1.0 - 1.0 / q) if exact else 0.0
-        c46 = 6.0 * c.zeta2_logderiv - 4.0 * c.zeta4_logderiv
-        z_ratio = c.zeta2 ** 3 / c.zeta4
-        if kind == "M22":
-            pref = (1.0 - 1.0 / q) / (1.0 + p ** -2) * z_ratio
-            bracket = (
-                math.log(q / (_FOUR_PI_SQ * p)) + 2.0 * math.log(p) / (1.0 + p * p) + c46 + extra
-            )
-        elif kind == "Delta1":
-            pref = (1.0 - 1.0 / q) * z_ratio / 2.0
-            bracket = math.log(q / _FOUR_PI_SQ) + c46 + extra
-        else:
-            pref = (1.0 - 1.0 / q) * (3.0 - p ** -2) / (1.0 + p ** -2) * z_ratio / 2.0
-            bracket = (
-                math.log(q / (_FOUR_PI_SQ * p * p))
-                + 2.0 * math.log(p) / (p * p + 1.0)
-                + 2.0 * math.log(p) / (3.0 * p * p - 1.0)
-                + c46
-                + extra
-            )
+        bracket = (-log_x + 2.0 * math.log(p) * d_of(p ** -2)
+                   + 6.0 * c.zeta2_logderiv - 4.0 * c.zeta4_logderiv + extra)
         return 0.0 + 0.0j, complex(pref * bracket)
     it = 1j * t
-    g2 = gamma(1.0 + it) ** 2
-    zq1 = zeta_q(1.0 + 2.0 * it, q)
-    z2 = zeta(2.0 + 2.0 * it) ** 3
-    z4 = zeta(4.0 + 4.0 * it)
-    pole_weight = -cmath.exp(-t * t) / it
-    z_ratio = _zc().zeta2 ** 3 / _zc().zeta4
-    if kind == "M22":
-        pole = (1.0 - 1.0 / q) / (1.0 + p ** -2) * z_ratio \
-            * cmath.exp(it * math.log(_FOUR_PI_SQ * p / q)) * pole_weight
-        reg = 2.0 * zq1 / (1.0 + p ** (-2.0 - 2.0 * it)) * z2 / z4 * g2
-    elif kind == "Delta1":
-        pole = (1.0 - 1.0 / q) * z_ratio / 2.0 \
-            * cmath.exp(it * math.log(_FOUR_PI_SQ / q)) * pole_weight
-        reg = zq1 * z2 / z4 * g2
-    else:
-        pole = (1.0 - 1.0 / q) * (3.0 - p ** -2) / (2.0 * (1.0 + p ** -2)) * z_ratio \
-            * cmath.exp(it * math.log(_FOUR_PI_SQ * p * p / q)) * pole_weight
-        reg = (3.0 - p ** (-2.0 - 2.0 * it)) * zq1 * z2 / ((1.0 + p ** (-2.0 - 2.0 * it)) * z4) * g2
+    pole = pref * cmath.exp(it * log_x) * -cmath.exp(-t * t) / it
+    reg = (c_of(p ** (-2.0 - 2.0 * it)) * zeta_q(1.0 + 2.0 * it, q) * zeta(2.0 + 2.0 * it) ** 3
+           / zeta(4.0 + 4.0 * it) * gamma(1.0 + it) ** 2)
     return pole, reg
 
 
@@ -383,22 +368,15 @@ def residue_closed_form(kind: str, p: int, q: int, t: float, exact: bool = True)
 
 
 def _mellin_integrand(kind: str, p: int, q: int, t: float, u: np.ndarray) -> np.ndarray:
+    k, c_of, _ = _KINDS[kind]
     it = 1j * t
     s1 = 1.0 + 2.0 * it + 2.0 * u
     s2 = 2.0 + 2.0 * it + 2.0 * u
     s4 = 4.0 + 4.0 * it + 4.0 * u
     zq1 = (1.0 - np.exp(-s1 * math.log(q))) * zeta_vec(s1)
-    base = zq1 * zeta_vec(s2) ** 3 / zeta_vec(s4)
-    if kind == "M22":
-        pp = np.exp(-s2 * math.log(p))
-        body = 2.0 * base / (1.0 + pp) * np.exp(-u * math.log(_FOUR_PI_SQ * p / q))
-    elif kind == "Delta1":
-        body = base * np.exp(-u * math.log(_FOUR_PI_SQ / q))
-    else:
-        pp = np.exp(-s2 * math.log(p))
-        body = base * (3.0 - pp) / (1.0 + pp) * np.exp(-u * math.log(_FOUR_PI_SQ * p * p / q))
+    body = zq1 * zeta_vec(s2) ** 3 / zeta_vec(s4) * c_of(np.exp(-s2 * math.log(p)))
     g = gamma_vec(1.0 + it + u)
-    return body * g * g * np.exp(u * u) / u
+    return body * np.exp(-u * math.log(_FOUR_PI_SQ * p ** k / q)) * g * g * np.exp(u * u) / u
 
 
 def _mellin_line(kind: str, p: int, q: int, t: float, sigma: float, step: float, halfwidth: float) -> complex:
@@ -418,7 +396,7 @@ def _refined_mellin_line(kind: str, p: int, q: int, t: float, sigma: float, tol:
 def mellin_numeric(kind: str, p: int, q: int, t: float, tol: float = 1e-10) -> complex:
     """Residues extracted numerically: line integral at Re u = 2 minus Re u = -0.4."""
     if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}")
+        raise ValueError(f"kind must be one of {tuple(_KINDS)}")
     right = _refined_mellin_line(kind, p, q, t, 2.0, tol)
     left = _refined_mellin_line(kind, p, q, t, -0.4, tol)
     return right - left

@@ -44,6 +44,8 @@ __all__ = [
 ]
 
 _SIGMA_FLOOR = 0.3
+_QUAD_STEP = 0.05
+_QUAD_HALFWIDTH = 8.0  # keeps the discarded line tail below e^{sigma^2 - 64}
 _SHIFTED_ABSCISSA = -0.9  # the -1+eps line with eps = 0.1
 
 
@@ -53,25 +55,15 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Quadrature parameters for W_t.
-
-    quad_halfwidth >= 6 keeps the discarded tail of the vertical line below
-    e^{sigma^2 - 36}, which is negligible against any permitted tol.
-    """
+    """Quadrature parameters for W_t."""
 
     t: float = 0.0
     tol: float = 1e-8
     contour_abscissa: float = 2.0
-    quad_step: float = 0.05
-    quad_halfwidth: float = 8.0
 
     def __post_init__(self):
         if not (0.0 < self.tol <= 1e-4):
             raise ValueError(f"tol must be in (0, 1e-4], got {self.tol}")
-        if self.quad_halfwidth < 6.0:
-            raise ValueError(f"quad_halfwidth must be >= 6, got {self.quad_halfwidth}")
-        if self.quad_step <= 0.0:
-            raise ValueError("quad_step must be positive")
         if self.contour_abscissa <= 0.0:
             raise ValueError("contour_abscissa must be positive")
 
@@ -126,8 +118,8 @@ def halving_quad(quad: Callable[[float], np.ndarray | complex], step: float, tol
 
 def _refined_line_quad(t: float, ys: np.ndarray, sigma: float, params: KernelParams) -> np.ndarray:
     """The W_t line integral on Re u = sigma, refined by halving_quad."""
-    halfwidth = max(params.quad_halfwidth, abs(t) + 6.0)
-    return halving_quad(lambda step: _line_quad(t, ys, sigma, step, halfwidth), params.quad_step,
+    halfwidth = max(_QUAD_HALFWIDTH, abs(t) + 6.0)
+    return halving_quad(lambda step: _line_quad(t, ys, sigma, step, halfwidth), _QUAD_STEP,
                         params.tol, f"kernel quadrature (t={t}, sigma={sigma})")
 
 

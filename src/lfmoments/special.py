@@ -139,27 +139,20 @@ _B2K = _bernoulli_even(_ZETA_BERNOULLI + 2)
 _B2K_OVER_FACT = [_B2K[k - 1] / math.factorial(2 * k) for k in range(1, _ZETA_BERNOULLI + 1)]
 
 
-def zeta(s: complex, terms: int = _ZETA_TERMS, bernoulli_terms: int = _ZETA_BERNOULLI) -> complex:
-    """Riemann zeta by Euler-Maclaurin.
+def _em_tail(acc, s, n_terms: int, exp):
+    """acc plus the Euler-Maclaurin tail of zeta(s) from N = n_terms on.
 
-    Accurate to ~1e-13 relative for Re(s) >= -1, |Im(s)| <= 100 at the
-    default truncation.  The simple pole at s = 1 is guarded.
+    Uses only + * / and the exp it is given, so one body serves the scalar
+    (cmath.exp) and the vectorized (np.exp) zeta.
     """
-    s = complex(s)
-    if abs(s - 1.0) <= 1e-10:
-        raise PoleError(f"zeta pole at s=1 (got s={s})")
-    n_terms = max(terms, int(0.6 * abs(s.imag)) + 8)
-    acc = 0.0 + 0.0j
-    for n in range(1, n_terms):
-        acc += cmath.exp(-s * math.log(n))
     nf = float(n_terms)
-    npow = cmath.exp(-s * math.log(nf))  # N^{-s}
+    npow = exp(-s * math.log(nf))  # N^{-s}
     acc += npow * nf / (s - 1.0)
     acc += 0.5 * npow
     # Correction terms: B_{2k}/(2k)! * s(s+1)...(s+2k-2) * N^{-s-2k+1}
     poch = s  # rising factorial s(s+1)...(s+2k-2), starts at k=1 with just s
     npow_k = npow / nf  # N^{-s-2k+1}, starts at k=1 with N^{-s-1}
-    for k in range(1, bernoulli_terms + 1):
+    for k in range(1, _ZETA_BERNOULLI + 1):
         acc += _B2K_OVER_FACT[k - 1] * poch * npow_k
         # prepare next k: extend pochhammer by (s+2k-1)(s+2k), shift power by N^{-2}
         poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
@@ -167,7 +160,23 @@ def zeta(s: complex, terms: int = _ZETA_TERMS, bernoulli_terms: int = _ZETA_BERN
     return acc
 
 
-def zeta_vec(s: np.ndarray, terms: int = _ZETA_TERMS, bernoulli_terms: int = _ZETA_BERNOULLI) -> np.ndarray:
+def zeta(s: complex) -> complex:
+    """Riemann zeta by Euler-Maclaurin.
+
+    Accurate to ~1e-13 relative for Re(s) >= -1, |Im(s)| <= 100.  The
+    simple pole at s = 1 is guarded.
+    """
+    s = complex(s)
+    if abs(s - 1.0) <= 1e-10:
+        raise PoleError(f"zeta pole at s=1 (got s={s})")
+    n_terms = max(_ZETA_TERMS, int(0.6 * abs(s.imag)) + 8)
+    acc = 0.0 + 0.0j
+    for n in range(1, n_terms):
+        acc += cmath.exp(-s * math.log(n))
+    return _em_tail(acc, s, n_terms, cmath.exp)
+
+
+def zeta_vec(s: np.ndarray) -> np.ndarray:
     """Vectorized Euler-Maclaurin zeta over an array of complex s.
 
     Same scheme as zeta(); the truncation is chosen from the largest
@@ -176,7 +185,7 @@ def zeta_vec(s: np.ndarray, terms: int = _ZETA_TERMS, bernoulli_terms: int = _ZE
     s = np.asarray(s, dtype=np.complex128)
     if np.any(np.abs(s - 1.0) <= 1e-10):
         raise PoleError("zeta_vec called with a node at s=1")
-    n_terms = max(terms, int(0.6 * float(np.max(np.abs(s.imag)))) + 8)
+    n_terms = max(_ZETA_TERMS, int(0.6 * float(np.max(np.abs(s.imag)))) + 8)
     ns = np.arange(1, n_terms, dtype=np.float64)
     # (n_nodes, n_terms) matrix of n^{-s}; chunk if large
     flat = s.reshape(-1)
@@ -186,26 +195,15 @@ def zeta_vec(s: np.ndarray, terms: int = _ZETA_TERMS, bernoulli_terms: int = _ZE
     for lo in range(0, flat.size, chunk):
         ss = flat[lo:lo + chunk, None]
         out[lo:lo + chunk] = np.exp(-ss * logn[None, :]).sum(axis=1)
-    acc = out.reshape(s.shape)
-    nf = float(n_terms)
-    npow = np.exp(-s * math.log(nf))
-    acc += npow * nf / (s - 1.0)
-    acc += 0.5 * npow
-    poch = s.copy()
-    npow_k = npow / nf
-    for k in range(1, bernoulli_terms + 1):
-        acc += _B2K_OVER_FACT[k - 1] * poch * npow_k
-        poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
-        npow_k /= nf ** 2
-    return acc
+    return _em_tail(out.reshape(s.shape), s, n_terms, np.exp)
 
 
-def zeta_deriv(s: complex, terms: int = _ZETA_TERMS, bernoulli_terms: int = _ZETA_BERNOULLI) -> complex:
+def zeta_deriv(s: complex) -> complex:
     """zeta'(s) by term-by-term differentiation of the Euler-Maclaurin sum."""
     s = complex(s)
     if abs(s - 1.0) <= 1e-10:
         raise PoleError(f"zeta pole at s=1 (got s={s})")
-    n_terms = max(terms, int(0.6 * abs(s.imag)) + 8)
+    n_terms = max(_ZETA_TERMS, int(0.6 * abs(s.imag)) + 8)
     acc = 0.0 + 0.0j
     for n in range(2, n_terms):
         ln = math.log(n)
@@ -220,7 +218,7 @@ def zeta_deriv(s: complex, terms: int = _ZETA_TERMS, bernoulli_terms: int = _ZET
     poch = s
     dpoch = 1.0 + 0.0j
     npow_k = npow / nf
-    for k in range(1, bernoulli_terms + 1):
+    for k in range(1, _ZETA_BERNOULLI + 1):
         c = _B2K_OVER_FACT[k - 1]
         acc += c * (dpoch * npow_k + poch * npow_k * (-lnN))
         a, b = s + (2 * k - 1), s + 2 * k

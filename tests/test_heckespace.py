@@ -146,6 +146,31 @@ class TestEigenSplit:
             tr_exact = float(sum(mat[i][i] for i in range(space.dim))) / math.sqrt(n)
             assert abs(hs.trace(space, tables, n) - tr_exact) < 1e-8
 
+    @pytest.mark.parametrize("q", [37, 101, 401])
+    def test_split_matches_two_eig_rayleigh_route(self, q, monkeypatch):
+        space = hs.build_space(q)
+        calls = []
+        real_eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or real_eig(a))
+        tables = hs.eigen_split(space, 0)
+        assert calls == [(space.dim + 1, space.dim + 1)]  # one eig, of the combination itself
+        monkeypatch.undo()
+        for t, exact in zip(tables, _rayleigh_lambdas(space, tables, ())):
+            for n in (2, 3, 5):
+                assert abs(t.lam(n) - exact[n]) < 1e-9, (q, t.index, n)
+
+    def test_ill_conditioned_eigenvectors_raise(self, monkeypatch):
+        real_eig = np.linalg.eig
+
+        def near_singular_eig(a):
+            ev, w = real_eig(a)
+            w[:, 1] = w[:, 0] + 1e-12 * w[:, 1]
+            return ev, w
+
+        monkeypatch.setattr(np.linalg, "eig", near_singular_eig)
+        with pytest.raises(hs.SplitFailureError, match="condition number"):
+            hs.eigen_split(hs.build_space(101), 0)
+
 
 def _rayleigh_lambdas(space, tables, ells):
     """lambda_f(ell) per table, from the exact hecke_matrix on the cuspidal basis.

@@ -6,7 +6,7 @@ import pytest
 from lfmoments import moments as mo
 from lfmoments.lvalue import afe_cutoff, wt_lattice
 from lfmoments.smoothing import QuadratureError
-from lfmoments.special import divisor_sieve
+from lfmoments.special import divisor_count, divisor_sieve
 
 from conftest import delta23_by_d
 
@@ -163,6 +163,10 @@ class TestTauSeries:
         for kind in ("plain", "p", "p2"):
             tr, cf = mo.tau_square_series(kind, 2, 2 + 2j, 100_000)
             assert abs(tr - cf) < 2e-3
+
+    def test_sieve_matches_divisor_count(self):
+        tau2 = mo._tau_square_sieve(3000)
+        assert all(tau2[m] == divisor_count(m * m) for m in range(1, 3001))
 
 
 class TestResidueVsContour:

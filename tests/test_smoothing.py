@@ -13,10 +13,6 @@ def p0():
 
 
 class TestKernelParams:
-    def test_halfwidth_floor(self):
-        with pytest.raises(ValueError):
-            sm.KernelParams(quad_halfwidth=4.0)
-
     def test_tol_range(self):
         with pytest.raises(ValueError):
             sm.KernelParams(tol=1e-3)
