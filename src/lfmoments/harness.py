@@ -8,6 +8,7 @@ failures are isolated per cell into the trailing error column.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -146,8 +147,10 @@ def save_eigendata(path: str | Path, q: int, seed: int, n_max: int,
 
 
 def load_eigendata(path: str | Path) -> tuple[int, int, int, int, list[EigenformTable]]:
-    """Returns (q, dim, seed, n_max, tables).  Loaded tables carry primes only;
-    a form whose primes do not start with every prime <= n_max is a ValueError."""
+    """Returns (q, dim, seed, n_max, tables).  Loaded tables carry primes only.
+    A form whose lambda pairs are not finite [prime, number] pairs, whose sign
+    is not +-1, or whose primes do not start with every prime <= n_max is a
+    ValueError naming the form."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if data.get("format_version") != CACHE_FORMAT_VERSION:
         raise ValueError(f"unsupported cache format_version: {data.get('format_version')}")
@@ -155,17 +158,26 @@ def load_eigendata(path: str | Path) -> tuple[int, int, int, int, list[Eigenform
     need = primes_up_to(n_max)
     tables = []
     for form in data["forms"]:
-        pairs = form["lambda"]
-        primes = np.array([int(p) for p, _ in pairs], dtype=np.int64)
-        vals = np.array([float(v) for _, v in pairs], dtype=np.float64)
-        head = primes[:need.size]
+        try:  # two floats per pair: a short or long pair or a non-number raises
+            flat = itertools.chain.from_iterable(form["lambda"])
+            pairs = np.fromiter(flat, np.float64, 2 * len(form["lambda"])).reshape(-1, 2)
+            bad = next(flat, None) is not None or not np.isfinite(pairs).all()
+        except (TypeError, ValueError):
+            bad = True
+        if bad:
+            raise ValueError(f"cache form {form['index']}: lambda is not a list of finite "
+                             "[prime, number] pairs")
+        if form["sign"] not in (1, -1):
+            raise ValueError(f"cache form {form['index']}: sign {form['sign']!r} is not +-1")
+        head = pairs[:need.size, 0]
         if not np.array_equal(head, need):  # the first mismatch, or the first prime past a short list
             first = need[np.argmax(np.append(head != need[:head.size], True))]
             raise ValueError(f"cache form {form['index']}: no lambda at the prime {first}")
         tables.append(
             EigenformTable(
-                q=q, index=int(form["index"]), n_max=int(n_max), primes=primes,
-                prime_lambda=vals, sign=int(form["sign"]), residual=0.0,
+                q=q, index=int(form["index"]), n_max=int(n_max),
+                primes=pairs[:, 0].astype(np.int64), prime_lambda=pairs[:, 1].copy(),
+                sign=int(form["sign"]), residual=0.0,
             )
         )
     if len(tables) != dim:

@@ -379,32 +379,29 @@ def _mellin_integrand(kind: str, p: int, q: int, t: float, u: np.ndarray) -> np.
     return body * np.exp(-u * math.log(_FOUR_PI_SQ * p ** k / q)) * g * g * np.exp(u * u) / u
 
 
-def _mellin_line(kind: str, p: int, q: int, t: float, sigma: float, step: float, halfwidth: float) -> complex:
-    n = int(math.ceil(halfwidth / step))
-    v = np.arange(-n, n + 1, dtype=np.float64) * step
-    u = sigma + 1j * v
-    vals = _mellin_integrand(kind, p, q, t, u)
-    return complex(vals.sum() * step / (2.0 * math.pi))
-
-
 def _refined_mellin_line(kind: str, p: int, q: int, t: float, sigma: float, tol: float) -> complex:
-    halfwidth = max(8.0, abs(t) + 8.0)
-    return halving_quad(lambda step: _mellin_line(kind, p, q, t, sigma, step, halfwidth), 0.05, tol,
+    """The kind's line integral on Re u = sigma; its poles lie on Re u = 0 and -1/2."""
+    return halving_quad(lambda u: _mellin_integrand(kind, p, q, t, u).sum(), sigma,
+                        min(abs(sigma), abs(sigma + 0.5)), max(8.0, abs(t) + 8.0), tol,
                         f"mellin quadrature for {kind} at (p={p}, q={q}, t={t}, sigma={sigma})")
 
 
 def mellin_numeric(kind: str, p: int, q: int, t: float, tol: float = 1e-10) -> complex:
-    """Residues extracted numerically: line integral at Re u = 2 minus Re u = -0.4."""
+    """Residues extracted numerically: line integral at Re u = 2 minus Re u = -1/4.
+
+    No singularity lies strictly between Re u = -1/2 and 0, so any left line
+    in that strip gives the same value; -1/4 is the farthest from both.
+    """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {tuple(_KINDS)}")
     right = _refined_mellin_line(kind, p, q, t, 2.0, tol)
-    left = _refined_mellin_line(kind, p, q, t, -0.4, tol)
+    left = _refined_mellin_line(kind, p, q, t, -0.25, tol)
     return right - left
 
 
 def mellin_remainder(kind: str, p: int, q: int, t: float, tol: float = 1e-10) -> complex:
-    """The shifted-line integral alone (the O((p/q)^{1/2-eps}) remainder)."""
-    return _refined_mellin_line(kind, p, q, t, -0.4, tol)
+    """The shifted-line integral alone (the O((p/q)^{1/2-eps}) remainder), on Re u = -1/4."""
+    return _refined_mellin_line(kind, p, q, t, -0.25, tol)
 
 
 def main_term_from_residues(j: int, p: int, q: int, t: float) -> complex:

@@ -8,8 +8,8 @@ main-term formulas) reduces to a handful of primitives implemented here:
                        same sum on arrays, with one step of the recurrence.
   * zeta(s)            Euler-Maclaurin summation, valid for Re(s) >= -1 and
                        moderate |Im(s)|; truncation is configurable.
-  * zeta_deriv(s)      term-by-term differentiated Euler-Maclaurin.
-  * zeta_log_deriv(s)  zeta'(s)/zeta(s) for real s >= 1.5.
+  * zeta_log_deriv(s)  zeta'(s)/zeta(s) for real s >= 1.5, by a complex
+                       step through zeta.
   * zeta_q(s, q)       the level-deprived zeta (1 - q^{-s}) zeta(s).
   * divisor_count / divisor_sieve / primes_up_to / von Mangoldt helpers.
 
@@ -31,7 +31,6 @@ __all__ = [
     "ZetaConstants",
     "gamma",
     "zeta",
-    "zeta_deriv",
     "zeta_q",
     "zeta_log_deriv",
     "zeta_constants",
@@ -198,36 +197,6 @@ def zeta_vec(s: np.ndarray) -> np.ndarray:
     return _em_tail(out.reshape(s.shape), s, n_terms, np.exp)
 
 
-def zeta_deriv(s: complex) -> complex:
-    """zeta'(s) by term-by-term differentiation of the Euler-Maclaurin sum."""
-    s = complex(s)
-    if abs(s - 1.0) <= 1e-10:
-        raise PoleError(f"zeta pole at s=1 (got s={s})")
-    n_terms = max(_ZETA_TERMS, int(0.6 * abs(s.imag)) + 8)
-    acc = 0.0 + 0.0j
-    for n in range(2, n_terms):
-        ln = math.log(n)
-        acc += -ln * cmath.exp(-s * ln)
-    nf = float(n_terms)
-    lnN = math.log(nf)
-    npow = cmath.exp(-s * lnN)
-    # d/ds [N^{1-s}/(s-1)] and d/ds [N^{-s}/2]
-    acc += npow * nf * (-lnN / (s - 1.0) - 1.0 / (s - 1.0) ** 2)
-    acc += 0.5 * npow * (-lnN)
-    # correction terms: product rule on pochhammer * N-power
-    poch = s
-    dpoch = 1.0 + 0.0j
-    npow_k = npow / nf
-    for k in range(1, _ZETA_BERNOULLI + 1):
-        c = _B2K_OVER_FACT[k - 1]
-        acc += c * (dpoch * npow_k + poch * npow_k * (-lnN))
-        a, b = s + (2 * k - 1), s + 2 * k
-        dpoch = dpoch * a * b + poch * b + poch * a
-        poch = poch * a * b
-        npow_k /= nf ** 2
-    return acc
-
-
 def zeta_q(s: complex, q: int) -> complex:
     """Level-deprived zeta: (1 - q^{-s}) * zeta(s)."""
     s = complex(s)
@@ -235,11 +204,11 @@ def zeta_q(s: complex, q: int) -> complex:
 
 
 def zeta_log_deriv(s: float) -> float:
-    """zeta'(s)/zeta(s) for real s >= 1.5, by differentiated Euler-Maclaurin."""
+    """zeta'(s)/zeta(s) for real s >= 1.5, by a complex step through the
+    Euler-Maclaurin zeta: zeta'(s) = Im zeta(s + ih)/h, exact to rounding."""
     if s < 1.5:
         raise SpecialFunctionError(f"zeta_log_deriv requires s >= 1.5, got {s}")
-    val = zeta_deriv(complex(s)) / zeta(complex(s))
-    return float(val.real)
+    return zeta(complex(s, 1e-30)).imag / 1e-30 / zeta(s).real
 
 
 def von_mangoldt_log_deriv(s: float, n_max: int = 1_000_000) -> float:

@@ -100,6 +100,31 @@ def lattice_sum_by_d(coeff: np.ndarray, t: float, q: int, n_cutoff: int, w: np.n
     return acc
 
 
+def assert_nested_nodes(nodes: list[np.ndarray]) -> None:
+    """The nodes one line quadrature evaluated, call by call, are distinct and
+    together make one uniform grid: its finest grid, each node evaluated once."""
+    v = np.sort(np.concatenate(nodes).imag)
+    assert np.all(np.diff(v) > 0)
+    assert np.allclose(np.diff(v), v[1] - v[0], rtol=0, atol=1e-12)
+
+
+def wt_fixed_step(t: float, ys: np.ndarray, sigma: float = 2.0, h: float = 0.0125,
+                  halfwidth: float = 8.0) -> np.ndarray:
+    """W_t(Y) by one plain trapezoid at the fixed step h on Re u = sigma, |Im u| <= halfwidth:
+
+    (h/2pi) sum_k Y^{-u_k} Gamma(1+it+u_k)^2 e^{u_k^2}/u_k, u_k = sigma + ikh.
+
+    No refinement and no node reuse; scipy's gamma.  The oracle for the kernel grid.
+    """
+    n = math.ceil(halfwidth / h)
+    u = sigma + 1j * h * np.arange(-n, n + 1)
+    g = gamma(1.0 + 1j * t + u)
+    coeff = h / (2.0 * math.pi) * g * g * np.exp(u * u) / u
+    ln_y = np.log(ys)
+    return np.concatenate([np.exp(-np.multiply.outer(ln_y[lo:lo + 256], u)) @ coeff
+                           for lo in range(0, ln_y.size, 256)])
+
+
 def afe_assemble(s: complex, q: int, t: float) -> complex:
     """Gamma(1+it)^{-2} [S + (q/4pi^2)^{-2it} conj(S)], which is 2 Re S at t = 0."""
     if t == 0.0:

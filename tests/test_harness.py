@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import threading
@@ -8,6 +9,7 @@ import pytest
 
 from lfmoments import harness as ha
 from lfmoments import heckespace as hs
+from lfmoments.moments import build_moment_record
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +108,32 @@ class TestCacheFile:
                 t.full()
         assert len(loaded) == 8
         assert hs._multiplicative_plan.cache_info().misses == 1
+
+    @pytest.mark.parametrize("corrupt", ["null", "NaN", "Infinity", "string", "short-pair",
+                                         "long-pair", "sign-0"])
+    def test_corrupt_cache_rebuilds(self, corrupt, tmp_path):
+        clean_dir, dirty_dir = tmp_path / "clean", tmp_path / "dirty"
+        clean = ha.get_eigendata(11, 1024, 0, clean_dir)
+        record = build_moment_record(clean, 11, 2, 1, 0.0, 1e-6)
+        ha.get_eigendata(11, 1024, 0, dirty_dir)
+        path = dirty_dir / ha.cache_file_name(11, 0)
+        data = json.loads(path.read_text())
+        form = data["forms"][0]
+        if corrupt == "sign-0":
+            form["sign"] = 0
+        elif corrupt == "short-pair":
+            form["lambda"][1] = [3]
+        elif corrupt == "long-pair":
+            form["lambda"][1].append(0.5)
+        else:  # json.dumps writes the floats as the literals NaN and Infinity
+            form["lambda"][1][1] = {"null": None, "NaN": math.nan, "Infinity": math.inf,
+                                    "string": "x"}[corrupt]
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="cache form 0: "):
+            ha.load_eigendata(path)
+        tables = ha.get_eigendata(11, 1024, 0, dirty_dir)
+        assert path.read_bytes() == (clean_dir / ha.cache_file_name(11, 0)).read_bytes()
+        assert build_moment_record(tables, 11, 2, 1, 0.0, 1e-6) == record
 
     def test_rebuild_when_cache_too_short(self, tmp_path):
         ha.get_eigendata(11, 128, 0, tmp_path)
@@ -285,10 +313,11 @@ class TestCli:
         assert out.returncode == 3
 
     def test_verify_special_suite(self):
-        out = self._run("verify", "--suite", "special")
-        assert out.returncode == 0
-        report = json.loads(out.stdout)
-        assert report["passed"] is True
+        for suite in ("special", "all"):  # all: the smoothing, hecke, lvalue and moments suites too
+            out = self._run("verify", "--suite", suite)
+            assert out.returncode == 0, out.stdout
+            report = json.loads(out.stdout)
+            assert report["passed"] is True
 
     def test_sweep_cli(self, tmp_path):
         out = self._run(

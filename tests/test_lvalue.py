@@ -7,8 +7,9 @@ import pytest
 from lfmoments import heckespace as hs
 from lfmoments import lvalue as lv
 from lfmoments import moments as mo
+from lfmoments.special import divisor_sieve
 
-from conftest import afe_assemble, lattice_sum_by_d
+from conftest import afe_assemble, lattice_sum_by_d, wt_fixed_step
 
 
 class TestAfe:
@@ -167,6 +168,22 @@ class TestWeightVector:
             g[p::p] += tr[1:n // p + 1]
             ref_trace = afe_assemble(lattice_sum_by_d(g, t, q, n, w), q, t)
             assert abs(mo.trace_route_moment(tables, p, t, tol) - ref_trace) <= 1e-12 * abs(ref_trace)
+
+    @pytest.mark.parametrize("q", [37, 101])
+    @pytest.mark.parametrize("t", [0.0, 0.5, -1.25])
+    def test_weights_match_fixed_step_trapezoid(self, q, t):
+        # V(k) = tau(k) k^{-1/2-it} sum_d d^{-1-2it} W_t(4 pi^2 k d^2 / q), from a kernel
+        # grid of one unrefined trapezoid at step 0.0125 on Re u = 2
+        n = {37: 2048, 101: 4096}[q]
+        w = wt_fixed_step(t, 4.0 * math.pi ** 2 * np.arange(1, n + 1) / q)
+        ref = np.zeros(n, dtype=np.complex128)
+        for d in range(1, math.isqrt(n) + 1):
+            if d % q != 0:
+                m = n // (d * d)
+                ref[:m] += w[d * d * np.arange(1, m + 1) - 1] * d ** (-1.0 - 2j * t)
+        ref *= divisor_sieve(n)[1:] * np.arange(1, n + 1) ** (-0.5 - 1j * t)
+        v = lv.afe_weights(q, t, n, 1e-8)
+        assert np.max(np.abs(v - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_grid_miss_builds_v_once(self, eigen101, monkeypatch):
         _, tables = eigen101

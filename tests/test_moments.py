@@ -8,7 +8,7 @@ from lfmoments.lvalue import afe_cutoff, wt_lattice
 from lfmoments.smoothing import QuadratureError
 from lfmoments.special import divisor_count, divisor_sieve
 
-from conftest import delta23_by_d
+from conftest import assert_nested_nodes, delta23_by_d
 
 
 class TestEmpiricalMoment:
@@ -182,6 +182,26 @@ class TestResidueVsContour:
     def test_unstable_line_raises_quadrature_error(self):
         with pytest.raises(QuadratureError, match="mellin quadrature for M22"):
             mo.mellin_numeric("M22", 2, 101, 0.0, tol=1e-30)
+
+    def test_every_mellin_node_evaluated_once(self, monkeypatch):
+        lines = {}
+
+        def recorded(kind, p, q, t, u, _fn=mo._mellin_integrand):
+            lines.setdefault(float(u.real[0]), []).append(u)
+            return _fn(kind, p, q, t, u)
+
+        monkeypatch.setattr(mo, "_mellin_integrand", recorded)
+        mo.mellin_numeric("M22", 2, 101, 0.5)
+        assert sorted(lines) == [-0.25, 2.0]
+        for nodes in lines.values():
+            assert_nested_nodes(nodes)
+
+    @pytest.mark.parametrize("cell", [("M22", 2, 101, 0.5), ("Delta3", 3, 37, 0.0)])
+    def test_left_line_anywhere_in_the_pole_free_strip(self, cell):
+        # no singularity lies strictly between Re u = -1/2 and 0
+        a = mo._refined_mellin_line(*cell, -0.4, 1e-10)
+        b = mo._refined_mellin_line(*cell, -0.25, 1e-10)
+        assert abs(a - b) < 1e-9
 
     def test_exact_vs_printed_difference(self):
         # at t=0 the exact form keeps the 2 log(q) / (q-1) zeta_q-derivative term

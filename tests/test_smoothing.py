@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from lfmoments import lvalue as lv
 from lfmoments import smoothing as sm
 from lfmoments.special import gamma
+
+from conftest import assert_nested_nodes
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +100,38 @@ class TestWtGrid:
         grid = sm.wt_grid(0.0, ys)
         ref = np.array([sm.wt_eval(p0, float(y)) for y in ys])
         assert np.max(np.abs(grid - ref)) < 1e-9
+
+
+class TestHalvingQuad:
+    def test_gaussian_line(self):
+        # (1/2 pi) int e^{(s+iv)^2} dv = 1/(2 sqrt(pi)) on every vertical line
+        seen = []
+
+        def node_sum(u):
+            seen.append(u)
+            return np.exp(u * u).sum()
+
+        val = sm.halving_quad(node_sum, 0.7, 0.25, 8.0, 1e-12, "gaussian")
+        assert abs(val - 0.5 / math.sqrt(math.pi)) < 1e-14
+        h = 2.0 * math.pi * 0.25 / (math.log(1e13) + 6.0)  # the start step from the strip bound
+        assert abs(seen[0][1].imag - seen[0][0].imag - h) < 1e-12
+        assert seen[0].size == 2 * math.ceil(8.0 / h) + 1
+        assert np.all(np.concatenate(seen).real == 0.7)
+        assert_nested_nodes(seen)
+
+    def test_v_miss_evaluates_each_kernel_node_once(self, monkeypatch):
+        nodes = {}
+
+        def recorded(t, ln_y, u, _fn=sm._kernel_node_sum):
+            nodes.setdefault(float(u.real[0]), []).append(u)
+            return _fn(t, ln_y, u)
+
+        monkeypatch.setattr(sm, "_kernel_node_sum", recorded)
+        lv._afe_weights.__wrapped__(101, 0.5, 4096, 1e-8)
+        assert nodes
+        for line in nodes.values():
+            assert_nested_nodes(line)
+            assert sum(u.size for u in line) <= 200
 
 
 class TestTruncationCutoff:
