@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from .harness import (
     SweepConfig,
     cache_file_name,
     get_eigendata,
+    load_eigendata,
     run_sweep,
     save_eigendata,
     write_sweep_csv,
@@ -33,8 +35,15 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",") if x)
 
 
+def _finite_float(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return x
+
+
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x)
+    return tuple(_finite_float(x) for x in text.split(",") if x)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mom.add_argument("--q", type=int, required=True)
     p_mom.add_argument("--p", type=int, required=True)
     p_mom.add_argument("--j", type=int, choices=(1, 2), default=1)
-    p_mom.add_argument("--t", type=float, default=0.0)
+    p_mom.add_argument("--t", type=_finite_float, default=0.0)
     p_mom.add_argument("--tol", type=float, default=1e-6)
     p_mom.add_argument("--seed", type=int, default=0)
     p_mom.add_argument("--cache-dir", type=str, default=None)
@@ -65,14 +74,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_main.add_argument("--q", type=int, required=True)
     p_main.add_argument("--p", type=int, required=True)
     p_main.add_argument("--j", type=int, choices=(1, 2), default=1)
-    p_main.add_argument("--t", type=float, default=0.0)
+    p_main.add_argument("--t", type=_finite_float, default=0.0)
 
     p_sweep = sub.add_parser("sweep", help="CSV sweep over a prime range")
     p_sweep.add_argument("--qmin", type=int, required=True)
     p_sweep.add_argument("--qmax", type=int, required=True)
     p_sweep.add_argument("--p", type=str, default="2")
     p_sweep.add_argument("--j", type=str, default="1")
-    p_sweep.add_argument("--t", type=str, default="0")
+    p_sweep.add_argument("--t", type=_parse_float_list, default="0")
     p_sweep.add_argument("--tol", type=float, default=1e-6)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--cache-dir", type=str, default=None)
@@ -95,8 +104,9 @@ def _cmd_eigendata(args) -> int:
     tables = get_eigendata(args.q, n_max, args.seed, args.cache_dir)
     out = args.out
     if out is None:
-        if args.cache_dir is not None:
+        if args.cache_dir is not None:  # a cached file may reach past n_max
             out = str(Path(args.cache_dir) / cache_file_name(args.q, args.seed))
+            n_max = load_eigendata(out)[3]
         else:
             out = cache_file_name(args.q, args.seed)
             save_eigendata(out, args.q, args.seed, n_max, tables)
@@ -146,7 +156,7 @@ def _cmd_sweep(args) -> int:
         q_min=args.qmin, q_max=args.qmax,
         p_list=_parse_int_list(args.p),
         j_list=_parse_int_list(args.j),
-        t_list=_parse_float_list(args.t),
+        t_list=args.t,
         tol=args.tol, seed=args.seed,
         cache_dir=args.cache_dir,
         threads=args.threads, timings=args.timings,
@@ -182,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION
 

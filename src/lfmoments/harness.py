@@ -150,8 +150,15 @@ def load_eigendata(path: str | Path) -> tuple[int, int, int, int, list[Eigenform
     """Returns (q, dim, seed, n_max, tables).  Loaded tables carry primes only.
     A form whose lambda pairs are not finite [prime, number] pairs, whose sign
     is not +-1, or whose primes do not start with every prime <= n_max is a
-    ValueError naming the form."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    ValueError naming the form; any file it cannot read is a ValueError
+    naming the file."""
+    try:
+        return _parse_eigendata(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"cache file {path}: {type(exc).__name__}: {exc}") from None
+
+
+def _parse_eigendata(data) -> tuple[int, int, int, int, list[EigenformTable]]:
     if data.get("format_version") != CACHE_FORMAT_VERSION:
         raise ValueError(f"unsupported cache format_version: {data.get('format_version')}")
     q, dim, seed, n_max = data["q"], data["dim"], data["seed"], data["n_max"]
@@ -197,7 +204,7 @@ def get_eigendata(
                 cq, _, cseed, c_nmax, tables = load_eigendata(path)
                 if cq == q and cseed == seed and c_nmax >= n_max:
                     return tables
-            except (ValueError, KeyError, json.JSONDecodeError):
+            except ValueError:
                 pass  # fall through to rebuild
     space = build_space(q)
     tables = eigen_split(space, seed=seed)

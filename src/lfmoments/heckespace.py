@@ -9,15 +9,20 @@ exact relations
 with S = [[0,-1],[1,0]], T = [[0,-1],[1,-1]], eta = [[-1,0],[0,1]] acting
 on the right on row vectors (c,d).  The S/eta relations are collapsed by a
 sign-tracking union-find; the 3-term relations are then reduced by sparse
-fraction-exact Gaussian elimination.  At prime level the boundary map to
-the cusps {0, infinity} is a single rational functional, whose kernel is
-the cuspidal plus-quotient; its dimension equals the genus of X_0(q).
+fraction-exact Gaussian elimination.  Every coordinate of a symbol in the
+quotient lies in 1/2 Z (Cremona, Algorithms for Modular Elliptic Curves,
+ch. 2; Merel 1994), so the quotient is held as one int64 table R2 of twice
+the coordinates of every symbol.  At prime level the boundary map to the
+cusps {0, infinity} is a single functional, whose kernel is the cuspidal
+plus-quotient; its dimension equals the genus of X_0(q).
 
 Hecke operators act two ways, and the routes cross-check each other:
 
-  * exact dim x dim rational matrices from the Merel determinant-n set
-    (hecke_matrix), used for small primes, the eigen-split combination,
-    and every exact-arithmetic invariant (commutativity, star = +1);
+  * Merel's determinant-n set maps all free symbols at once, and one gather
+    over R2 sums their images into twice T_n on the quotient, in int64
+    (_hecke2).  Halved, it is the float T_n of the eigen split;
+    hecke_matrix cuts it to exact rational matrices on the cuspidal basis,
+    used for small primes and every exact invariant (commutativity);
   * a linear-time path route for eigenvalues at large primes: a dual
     eigenvector is evaluated on T_l applied to one of two base paths, with
     the image paths expanded into Manin symbols by continued fractions
@@ -181,39 +186,37 @@ def _rref(rows: list[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
 class HeckeSpace:
     """The cuspidal plus-quotient of weight-2 Manin symbols for Gamma_0(q).
 
-    dim equals the genus of X_0(q).  hecke_cache maps prime n to the exact
-    rational matrix of the classical T_n on the cuspidal basis (eigenvalues
-    are the integral a_n; the paper normalization a_n/sqrt(n) is applied at
-    eigenvalue extraction).
+    dim equals the genus of X_0(q).  R2 (int64, n_free x (q+2)) holds twice
+    the quotient coordinates of the symbol with P^1 index i in column i (see
+    _p1); column q+1, the (0:0) image of U_q, is zero.  hecke2_cache maps n
+    to twice T_n on the full quotient (_hecke2), hecke_cache prime n to the
+    exact rational T_n on the cuspidal basis (eigenvalues are the integral
+    a_n; the paper normalization a_n/sqrt(n) is applied at eigenvalue
+    extraction).
     """
 
     q: int
     dim: int
-    # internal quotient data
-    n_free: int                               # dim of the full plus-quotient (genus+1)
-    sym_vec: list[list[tuple[int, Fraction]]]  # symbol -> exact coords on free gens
-    free_symbols: list[int]                   # free generator -> symbol index
-    boundary: list[Fraction]                  # boundary functional on free gens
-    boundary_pivot: int                       # index j* used to cut the cuspidal kernel
-    cusp_cols: list[int]                      # free-gen index of each cuspidal basis vector
-    R: np.ndarray                             # float (n_free, q+1) symbol coordinate matrix
-    inv_table: np.ndarray                     # modular inverses, inv_table[a] = a^{-1} mod q
+    n_free: int                    # dim of the full plus-quotient (genus+1)
+    free_symbols: np.ndarray       # free generator -> symbol index (int64)
+    boundary: np.ndarray           # boundary functional on free gens, entries in {-1, 0, 1}
+    boundary_pivot: int            # index j* used to cut the cuspidal kernel
+    cusp_cols: list[int]           # free-gen index of each cuspidal basis vector
+    R2: np.ndarray                 # int64 (n_free, q+2): twice the symbol coordinates
+    inv_table: np.ndarray          # modular inverses, inv_table[a] = a^{-1} mod q
     hecke_cache: dict[int, list[list[Fraction]]] = field(default_factory=dict)
-    _quot_float_cache: dict[int, np.ndarray] = field(default_factory=dict)
+    hecke2_cache: dict[int, np.ndarray] = field(default_factory=dict)
 
-    def p1_index(self, c: int, d: int) -> int:
-        """Index of (c:d) in P^1(Z/q): (1:v) -> v, (0:1) -> q."""
-        q = self.q
-        c %= q
-        d %= q
-        if c:
-            return (int(self.inv_table[c]) * d) % q
-        if d % q == 0:
-            raise HeckeError("(0,0) is not a point of P^1")
-        return q
 
-    def symbol_of_index(self, i: int) -> tuple[int, int]:
-        return (1, i) if i < self.q else (0, 1)
+def _p1(inv: np.ndarray, q: int, c, d) -> np.ndarray:
+    """P^1(Z/q) index of the rows (c, d): (1:v) -> v, (0:1) -> q, (0:0) -> q+1."""
+    c, d = np.mod(c, q), np.mod(d, q)
+    return np.where(c != 0, inv[c] * d % q, np.where(d != 0, q, q + 1))
+
+
+def _rows(q: int, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows (c, d) of the symbols with P^1 index i: (1, i), and (0, 1) at i = q."""
+    return (i < q).astype(np.int64), np.where(i < q, i, 1)
 
 
 def build_space(q: int) -> HeckeSpace:
@@ -227,104 +230,66 @@ def build_space(q: int) -> HeckeSpace:
     n_sym = q + 1
     inv_table = np.zeros(q, dtype=np.int64)
     inv_table[1:] = np.array([pow(a, q - 2, q) for a in range(1, q)], dtype=np.int64)
-
-    def idx(c: int, d: int) -> int:
-        c %= q
-        d %= q
-        if c:
-            return (int(inv_table[c]) * d) % q
-        return q
-
-    def sym(i: int) -> tuple[int, int]:
-        return (1, i) if i < q else (0, 1)
+    c, d = _rows(q, np.arange(n_sym))
+    xs, xeta, xt, xt2 = (_p1(inv_table, q, u, v).tolist()
+                         for u, v in ((d, -c), (-c, d), (d, -c - d), (-c - d, c)))
 
     uf = _SignedUnionFind(n_sym)
     for i in range(n_sym):
-        c, d = sym(i)
-        uf.union(i, idx(d, -c), -1)       # x = -xS
-        uf.union(i, idx(-c, d), 1)        # x = x eta  (plus-quotient)
+        uf.union(i, xs[i], -1)            # x = -xS
+        uf.union(i, xeta[i], 1)           # x = x eta  (plus-quotient)
 
-    # 3-term relations on union-find classes
+    # 3-term relations on union-find classes, one per T-orbit {x, xT, xT^2},
+    # listed at the orbit's smallest member
     rows: list[dict[int, Fraction]] = []
-    seen = [False] * n_sym
-    for i in range(n_sym):
-        if seen[i]:
+    for i, j, k in zip(range(n_sym), xt, xt2):
+        if i > j or i > k:
             continue
-        c, d = sym(i)
-        j = idx(d, -c - d)                # xT
-        k = idx(-c - d, c)                # xT^2
-        seen[i] = seen[j] = seen[k] = True
         row: dict[int, Fraction] = {}
         for s_idx in (i, j, k):
             root, sgn = uf.resolve(s_idx)
-            if uf.dead[root]:
-                continue
-            row[root] = row.get(root, _F0) + sgn
-        row = {cc: vv for cc, vv in row.items() if vv != 0}
-        if row:
+            if not uf.dead[root]:
+                row[root] = row.get(root, _F0) + sgn
+        if row := {cc: vv for cc, vv in row.items() if vv != 0}:
             rows.append(row)
 
     pivots = _rref(rows)
     roots = sorted({uf.resolve(i)[0] for i in range(n_sym) if not uf.is_dead(i)})
-    free_symbols = [r for r in roots if r not in pivots]
-    free_pos = {r: p for p, r in enumerate(free_symbols)}
-    n_free = len(free_symbols)
+    free_pos = {r: p for p, r in enumerate(root for root in roots if root not in pivots)}
+    free_symbols, n_free = np.array(list(free_pos), dtype=np.int64), len(free_pos)
 
-    # exact symbol -> quotient coordinates
-    sym_vec: list[list[tuple[int, Fraction]]] = []
-    for i in range(n_sym):
-        root, sgn = uf.resolve(i)
-        if uf.dead[root]:
-            sym_vec.append([])
-        elif root in free_pos:
-            sym_vec.append([(free_pos[root], Fraction(sgn))])
-        else:
-            expr = pivots[root]
-            sym_vec.append(
-                [(free_pos[c2], -sgn * v) for c2, v in expr.items() if c2 != root]
-            )
-
-    R = np.zeros((n_free, n_sym), dtype=np.float64)
-    for i, vec in enumerate(sym_vec):
-        for pos, val in vec:
-            R[pos, i] = float(val)
+    # twice the exact coordinates of each class root on the free generators
+    coords = {r: [(p, 2)] for r, p in free_pos.items()}
+    for r, expr in pivots.items():
+        coords[r] = [(free_pos[c2], -2 * v) for c2, v in expr.items() if c2 != r]
+        if any(v.denominator != 1 for _, v in coords[r]):
+            raise HeckeError(f"symbol {r} has a coordinate outside 1/2 Z at q={q}")
+    pos, col, val = zip(*[(p, i, sgn * int(v)) for i in range(n_sym)
+                          for root, sgn in (uf.resolve(i),)
+                          for p, v in coords.get(root, ())])  # dead classes have none
+    R2 = np.zeros((n_free, n_sym + 1), dtype=np.int64)
+    R2[pos, col] = val
 
     # boundary functional: +1 on (0:1) [index q], -1 on (1:0) [index 0]
-    def beta(i: int) -> Fraction:
-        if i == q:
-            return _F1
-        if i == 0:
-            return -_F1
-        return _F0
-
-    boundary = [beta(r) for r in free_symbols]
-    if all(v == 0 for v in boundary):
+    beta = np.zeros(n_sym, dtype=np.int64)
+    beta[q], beta[0] = 1, -1
+    boundary = beta[free_symbols]
+    if not boundary.any():
         raise HeckeError(f"boundary functional vanished at q={q}")
     # exact consistency of the descended functional on every symbol
-    for i in range(n_sym):
-        val = sum(boundary[pos] * v for pos, v in sym_vec[i])
-        if val != beta(i):
-            raise HeckeError(f"boundary map is not well-defined at symbol {i} (q={q})")
+    bad = np.flatnonzero(boundary @ R2[:, :n_sym] != 2 * beta)
+    if bad.size:
+        raise HeckeError(f"boundary map is not well-defined at symbol {bad[0]} (q={q})")
 
-    jstar = next(p for p, v in enumerate(boundary) if v != 0)
+    jstar = int(np.flatnonzero(boundary)[0])
     cusp_cols = [p for p in range(n_free) if p != jstar]
-    dim = len(cusp_cols)
-    g = genus_oracle(q)
+    dim, g = len(cusp_cols), genus_oracle(q)
     if dim != g:
         raise HeckeError(f"cuspidal dimension {dim} != genus {g} at q={q}")
 
-    return HeckeSpace(
-        q=q,
-        dim=dim,
-        n_free=n_free,
-        sym_vec=sym_vec,
-        free_symbols=free_symbols,
-        boundary=boundary,
-        boundary_pivot=jstar,
-        cusp_cols=cusp_cols,
-        R=R,
-        inv_table=inv_table,
-    )
+    return HeckeSpace(q=q, dim=dim, n_free=n_free, free_symbols=free_symbols,
+                      boundary=boundary, boundary_pivot=jstar, cusp_cols=cusp_cols,
+                      R2=R2, inv_table=inv_table)
 
 
 # ---------------------------------------------------------------------------
@@ -349,40 +314,21 @@ def merel_matrices(n: int) -> list[tuple[int, int, int, int]]:
     return mats
 
 
-def _hecke_on_quotient(space: HeckeSpace, n: int) -> list[dict[int, Fraction]]:
-    """Exact columns of classical T_n on the full plus-quotient (n_free gens)."""
-    q = space.q
-    cols = []
-    mats = merel_matrices(n)
-    for j, root in enumerate(space.free_symbols):
-        c0, d0 = space.symbol_of_index(root)
-        acc: dict[int, Fraction] = {}
-        for (a, b, c1, d1) in mats:
-            u = (c0 * a + d0 * c1) % q
-            v = (c0 * b + d0 * d1) % q
-            if u == 0 and v == 0:
-                continue  # only possible when q | n
-            for pos, val in space.sym_vec[space.p1_index(u, v)]:
-                nv = acc.get(pos, _F0) + val
-                if nv:
-                    acc[pos] = nv
-                else:
-                    acc.pop(pos, None)
-        cols.append(acc)
-    return cols
+def _hecke2(space: HeckeSpace, n: int) -> np.ndarray:
+    """Twice the matrix of classical T_n on the full plus-quotient (n_free gens).
 
-
-def _quotient_matrix_float(space: HeckeSpace, n: int) -> np.ndarray:
-    if n in space._quot_float_cache:
-        return space._quot_float_cache[n]
-    cols = _hecke_on_quotient(space, n)
-    m = space.n_free
-    mat = np.zeros((m, m), dtype=np.float64)
-    for j, col in enumerate(cols):
-        for pos, val in col.items():
-            mat[pos, j] = float(val)
-    space._quot_float_cache[n] = mat
-    return mat
+    Column j sums the R2 columns of the images of free generator j under
+    Merel's X_n: one int64 gather, exact.  C-contiguous, because BLAS picks
+    its kernels by layout and the split's residuals depend on them.  Cached
+    on the space.
+    """
+    t2 = space.hecke2_cache.get(n)
+    if t2 is None:
+        a, b, c, d = np.array(merel_matrices(n), dtype=np.int64).T[:, None, :]
+        c0, d0 = (x[:, None] for x in _rows(space.q, space.free_symbols))
+        idx = _p1(space.inv_table, space.q, c0 * a + d0 * c, c0 * b + d0 * d)
+        t2 = space.hecke2_cache[n] = np.ascontiguousarray(space.R2[:, idx].sum(axis=2))
+    return t2
 
 
 def hecke_matrix(space: HeckeSpace, n: int) -> list[list[Fraction]]:
@@ -395,49 +341,25 @@ def hecke_matrix(space: HeckeSpace, n: int) -> list[list[Fraction]]:
         raise HeckeError(f"hecke_matrix expects prime n, got {n}")
     if n in space.hecke_cache:
         return space.hecke_cache[n]
-    if space.dim == 0:
-        space.hecke_cache[n] = []
-        return []
-    cols = _hecke_on_quotient(space, n)
-    jstar = space.boundary_pivot
-    b = space.boundary
-    g = space.dim
-    # cuspidal basis vectors: K_col = e_j - (b_j/b_j*) e_j*  for j != j*
-    mat: list[list[Fraction]] = [[_F0] * g for _ in range(g)]
-    for col_i, j in enumerate(space.cusp_cols):
-        # image of K_col on free gens
-        img: dict[int, Fraction] = dict(cols[j])
-        f = b[j] / b[jstar]
-        if f:
-            for pos, val in cols[jstar].items():
-                nv = img.get(pos, _F0) - f * val
-                if nv:
-                    img[pos] = nv
-                else:
-                    img.pop(pos, None)
-        # solve K x = img: rows j != j* give x directly; row j* must be consistent
-        x = {pos: val for pos, val in img.items() if pos != jstar}
-        resid = img.get(jstar, _F0)
-        for pos, val in x.items():
-            resid += val * b[pos] / b[jstar]
-        if resid != 0:
-            raise HeckeError(f"T_{n} does not preserve the cuspidal subspace at q={space.q}")
-        for row_i, jrow in enumerate(space.cusp_cols):
-            mat[row_i][col_i] = x.get(jrow, _F0)
+    t2, b, jstar, cc = _hecke2(space, n), space.boundary, space.boundary_pivot, space.cusp_cols
+    # twice the images of the cuspidal basis K_j = e_j - b_j b_j* e_j*  (b_j* = +-1)
+    img = t2[:, cc] - np.outer(t2[:, jstar], b[cc] * b[jstar])
+    # solve K x = img: rows j != j* give x directly; row j* is consistent iff b . img = 0
+    if (b @ img).any():
+        raise HeckeError(f"T_{n} does not preserve the cuspidal subspace at q={space.q}")
+    x2 = img[cc]
+    lo = int(x2.min(initial=0))
+    halves = [Fraction(v, 2) for v in range(lo, int(x2.max(initial=0)) + 1)]
+    mat = [[halves[v] for v in row] for row in (x2 - lo).tolist()]
     space.hecke_cache[n] = mat
     return mat
 
 
 def star_is_identity(space: HeckeSpace) -> bool:
     """Exact check that the star involution acts as +1 on the quotient basis."""
-    q = space.q
-    for j, root in enumerate(space.free_symbols):
-        c0, d0 = space.symbol_of_index(root)
-        vec = space.sym_vec[space.p1_index(-c0, d0)]
-        expect = [(j, _F1)]
-        if sorted(vec) != expect:
-            return False
-    return True
+    c, d = _rows(space.q, space.free_symbols)
+    star = space.R2[:, _p1(space.inv_table, space.q, -c, d)]
+    return np.array_equal(star, 2 * np.eye(space.n_free, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +556,7 @@ def eigen_split(space: HeckeSpace, seed: int = 0) -> list[EigenformTable]:
     rng = default_rng(seed)
     last_err = ""
     for _ in range(10):
-        t_float = {n: _quotient_matrix_float(space, n) for n in ops}  # cached on the space
+        t_float = {n: 0.5 * _hecke2(space, n) for n in ops}  # cached on the space
         c = rng.integers(1, 101, size=len(ops))
         amat = sum(ci * tn for ci, tn in zip(c, t_float.values()))
         evals, wvecs = np.linalg.eig(amat)
@@ -665,7 +587,7 @@ def eigen_split(space: HeckeSpace, seed: int = 0) -> list[EigenformTable]:
         cusp = [i for i in range(len(ev)) if i != eis]
         # deterministic order: by normalized eigenvalues at the primes in ops
         cusp.sort(key=lambda i: tuple(round(float(lam[n][i]), 9) for n in ops))
-        duals = u[cusp] @ space.R
+        duals = u[cusp] @ (0.5 * space.R2[:, :space.q + 1])
         duals /= duals[np.arange(len(cusp)), np.argmax(np.abs(duals), axis=1)][:, None]
         primes_seed = np.array([2, 3, 5], dtype=np.int64)
         return [

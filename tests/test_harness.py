@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 import threading
@@ -7,6 +8,7 @@ import threading
 import numpy as np
 import pytest
 
+from lfmoments import cli
 from lfmoments import harness as ha
 from lfmoments import heckespace as hs
 from lfmoments.moments import build_moment_record
@@ -130,6 +132,26 @@ class TestCacheFile:
                                     "string": "x"}[corrupt]
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match="cache form 0: "):
+            ha.load_eigendata(path)
+        tables = ha.get_eigendata(11, 1024, 0, dirty_dir)
+        assert path.read_bytes() == (clean_dir / ha.cache_file_name(11, 0)).read_bytes()
+        assert build_moment_record(tables, 11, 2, 1, 0.0, 1e-6) == record
+
+    @pytest.mark.parametrize("malformed", ["forms-null", "top-level-list", "form-not-object",
+                                           "n_max-string", "no-q"])
+    def test_malformed_cache_rebuilds(self, malformed, tmp_path):
+        clean_dir, dirty_dir = tmp_path / "clean", tmp_path / "dirty"
+        clean = ha.get_eigendata(11, 1024, 0, clean_dir)
+        record = build_moment_record(clean, 11, 2, 1, 0.0, 1e-6)
+        ha.get_eigendata(11, 1024, 0, dirty_dir)
+        path = dirty_dir / ha.cache_file_name(11, 0)
+        data = json.loads(path.read_text())
+        data = {"forms-null": {**data, "forms": None}, "top-level-list": [],
+                "form-not-object": {**data, "forms": ["x"]},
+                "n_max-string": {**data, "n_max": str(data["n_max"])},
+                "no-q": {k: v for k, v in data.items() if k != "q"}}[malformed]
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=re.escape(f"cache file {path}: ")):
             ha.load_eigendata(path)
         tables = ha.get_eigendata(11, 1024, 0, dirty_dir)
         assert path.read_bytes() == (clean_dir / ha.cache_file_name(11, 0)).read_bytes()
@@ -303,6 +325,31 @@ class TestCli:
                              timeout=120)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip().splitlines()[-1] == "0 []"
+
+    def test_eigendata_reports_the_n_max_of_its_file(self, tmp_path, capsys):
+        argv = ["eigendata", "--q", "11", "--cache-dir", str(tmp_path), "--n-max"]
+        assert cli.main([*argv, "64"]) == 0
+        assert cli.main([*argv, "32"]) == 0  # served by the cached file, which reaches 64
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert summary["n_max"] == 64
+        assert ha.load_eigendata(summary["written"])[3] == 64
+
+    @pytest.mark.parametrize("command", ["moment", "mainterm", "sweep"])
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    def test_non_finite_t_is_a_usage_error(self, command, t, tmp_path, capsys):
+        argv = {"moment": ["moment", "--q", "11", "--p", "2", "--cache-dir", str(tmp_path)],
+                "mainterm": ["mainterm", "--q", "11", "--p", "2"],
+                "sweep": ["sweep", "--qmin", "11", "--qmax", "11", "--out", str(tmp_path / "s.csv")],
+                }[command]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, f"--t={'0,' if command == 'sweep' else ''}{t}"])
+        assert exc.value.code == 2
+        assert "not a finite number" in capsys.readouterr().err
+
+    def test_overflow_is_a_computation_error(self, capsys):
+        assert cli.main(["mainterm", "--q", "101", "--p", "2", "--j", "2", "--t", "1e308"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_usage_error_exit_code(self):
         out = self._run("moment", "--q", "11")

@@ -44,28 +44,49 @@ class TestBuildSpace:
         for q in (11, 37, 101):
             assert hs.star_is_identity(hs.build_space(q))
 
+    def test_coordinate_outside_half_integers_raises(self, monkeypatch):
+        real_rref = hs._rref
+
+        def third_rref(rows):  # one coefficient of one pivot row becomes 1/3
+            pivots = real_rref(rows)
+            c, row = next((c, r) for c, r in sorted(pivots.items()) if len(r) > 1)
+            row[next(cc for cc in row if cc != c)] = Fraction(1, 3)
+            return pivots
+
+        monkeypatch.setattr(hs, "_rref", third_rref)
+        with pytest.raises(hs.HeckeError, match=r"symbol \d+ has a coordinate outside 1/2 Z at q=37"):
+            hs.build_space(37)
+
+    def test_level4999(self):
+        # the largest supported level: genus 416, star = +1, T2 keeps the cusp forms
+        space = hs.build_space(4999)
+        assert space.dim == hs.genus_oracle(4999) == 416
+        assert hs.star_is_identity(space)
+        assert len(hs.hecke_matrix(space, 2)) == 416
+
 
 class TestHeckeMatrices:
     def test_t1_is_identity(self, eigen37):
         space, _ = eigen37
         m = hs.hecke_matrix(space, 2)
         assert len(m) == space.dim
-        # trace of T_1 = dim (identity operator)
-        cols = hs._hecke_on_quotient(space, 1)
-        for j, col in enumerate(cols):
-            assert col == {j: Fraction(1)}
+        # X_1 is the identity matrix alone, so twice T_1 is twice the identity
+        t2 = hs._hecke2(space, 1)
+        assert t2.dtype == np.int64 and t2.flags.c_contiguous
+        assert np.array_equal(t2, 2 * np.eye(space.n_free, dtype=np.int64))
 
-    def test_exact_commutation(self, eigen37):
-        space, _ = eigen37
-        g = space.dim
-        mats = {n: hs.hecke_matrix(space, n) for n in (2, 3, 5, 7)}
-        pairs = [(2, 3), (2, 7), (3, 5), (5, 7)]
-        for a, b in pairs:
-            ab = [[sum(mats[a][i][k] * mats[b][k][j] for k in range(g)) for j in range(g)]
-                  for i in range(g)]
-            ba = [[sum(mats[b][i][k] * mats[a][k][j] for k in range(g)) for j in range(g)]
-                  for i in range(g)]
-            assert ab == ba
+    def test_exact_commutation(self):
+        for q in (37, 401):
+            space = hs.build_space(q)
+            g = space.dim
+            mats = {n: hs.hecke_matrix(space, n) for n in (2, 3, 5, 7)}
+            pairs = [(2, 3), (2, 7), (3, 5), (5, 7)]
+            for a, b in pairs:
+                ab = [[sum(mats[a][i][k] * mats[b][k][j] for k in range(g)) for j in range(g)]
+                      for i in range(g)]
+                ba = [[sum(mats[b][i][k] * mats[a][k][j] for k in range(g)) for j in range(g)]
+                      for i in range(g)]
+                assert ab == ba, (q, a, b)
 
     def test_level11_t2_eigenvalue(self, eigen11):
         space, tables = eigen11
