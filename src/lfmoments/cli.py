@@ -22,7 +22,7 @@ from .harness import (
     write_sweep_csv,
 )
 from .lvalue import afe_cutoff
-from .moments import build_moment_record, main_term_thm11, main_term_thm12
+from .moments import build_moment_record, check_t, main_term_thm11, main_term_thm12
 from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
@@ -125,6 +125,7 @@ def _cmd_eigendata(args) -> int:
 
 
 def _cmd_moment(args) -> int:
+    check_t(args.t)  # before afe_cutoff, whose Gamma(1+it)^2 underflows at large t
     n_max = max(afe_cutoff(args.q, args.t, args.tol), args.p ** args.j)
     tables = get_eigendata(args.q, n_max, args.seed, args.cache_dir)
     rec = build_moment_record(tables, args.q, args.p, args.j, args.t, args.tol)

@@ -27,7 +27,7 @@ from .heckespace import (
     extend_prime_eigenvalues,
 )
 from .lvalue import afe_cutoff
-from .moments import MomentRecord, build_moment_record
+from .moments import MomentRecord, build_moment_record, check_t
 from .special import is_prime, primes_up_to
 
 __all__ = [
@@ -77,6 +77,8 @@ class SweepConfig:
         for j in self.j_list:
             if j not in (1, 2):
                 raise ValueError(f"j must be 1 or 2, got {j}")
+        for t in self.t_list:
+            check_t(t)
         warnings = []
         for p in self.p_list:
             if not is_prime(p):

@@ -479,59 +479,69 @@ def trace(space: HeckeSpace, tables: list[EigenformTable], n: int) -> float:
 # Eigen split and the continued-fraction path engine
 
 
-def _cf_accumulate_py(num, den, wt, q, inv, acc):
-    """Pure-numpy continued-fraction expansion of the paths {oo, num/den}."""
-    acc[0] += wt.sum()
-    qprev = np.zeros(num.shape, dtype=np.int64)
-    qcur = np.ones(num.shape, dtype=np.int64)
-    a = num // den
-    num, den = den, num - a * den
-    sgn = 1
-    while den.size:
-        keep = den != 0
-        if not keep.all():
-            num, den, qprev, qcur, wt = (arr[keep] for arr in (num, den, qprev, qcur, wt))
-            if not den.size:
-                break
-        a = num // den
-        num, den = den, num - a * den
-        qnew = a * qcur + qprev
-        u = qnew % q
-        v = (sgn * qcur) % q
-        idx = np.where(u == 0, q, (inv[u] * v) % q)
-        acc += np.bincount(idx, weights=wt, minlength=q + 1)
-        qprev, qcur = qcur, qnew
-        sgn = -sgn
+# A block of consecutive primes closes at about this many paths or bins.
+_BLOCK_PATHS = 20_000
+_BLOCK_BINS = 1 << 16
 
 
-def _path_accumulators(space: HeckeSpace, ell: int, v: int | None) -> tuple[np.ndarray, np.ndarray | None]:
-    """Weights on P^1 symbols with  a_ell d[(0:1)] = d . acc0  and
-    a_ell d[(1:v)] = d . accv  for every cuspidal dual eigenvector d.
+def _cf_counts(q: int, inv: np.ndarray, nums: list[np.ndarray], dens: list[int]) -> np.ndarray:
+    """How often the continued fractions of the paths {oo, num/den}, den > 0,
+    hit each P^1 index: one row of q+1 counts per group (nums[g], dens[g]).
+
+    Step i hits x_i = sgn_i q_{i-1}/q_i mod q, sgn_i = (-1)^(i+1), for the
+    convergent denominators q_i (oo = (0:1) = index q when q | q_i); step 0
+    hits x_0 = 0 = (1:0).  No convergent is kept: y_i = q_{i-1}/q_i obeys the
+    Moebius recurrence y_i = 1/(a_i + y_{i-1}) mod q, 0 follows oo, and so
+    x_{i+1} = -1/(sgn_i a_{i+1} + x_i).  A path's state b = width*g + y (oo
+    coded as 2q - 1) is its bin; one add and one gather from the step table,
+    tiled over the groups, advance it.  Even steps are negated at the end:
+    eta identifies x with -x, but each GEMV's summation order follows the bins.
+    """
+    width, inf = 3 * q - 1, 2 * q - 1  # finite y + a < inf, and inf + a < width
+    step = np.concatenate([inv, inv[:q - 1], np.zeros(q, dtype=np.int64)])  # 1/(y + a); oo + a -> 0
+    step[[0, q]] = inf  # y + a = 0 mod q -> oo
+    offsets = width * np.arange(len(nums), dtype=np.int64)
+    tiled = (offsets[:, None] + step).ravel()
+    sizes = [len(num) for num in nums]
+    b, den = np.repeat(offsets, sizes), np.repeat(dens, sizes)
+    num, den = den, np.concatenate(nums) % den  # step 0, outside the loop
+    hits, odd = np.zeros((2, len(nums), width), dtype=np.int64), 0
+    while b.size:  # every later partial quotient is >= 1: num > den > 0 until den = 0
+        hits[odd] += np.bincount(b, minlength=tiled.size).reshape(len(nums), width)
+        live = np.flatnonzero(den != 0)
+        if live.size < den.size:
+            num, den, b = num.take(live), den.take(live), b.take(live)
+        a, r = np.divmod(num, den)
+        a[a >= q] %= q
+        b = tiled[b + a]
+        num, den, odd = den, r, odd ^ 1
+    x = np.arange(q + 1)  # take keeps C order: a strided row would round its GEMV otherwise
+    return hits[1].take(np.where(x < q, x, inf), 1) + hits[0].take(np.where(x < q, -x % q, inf), 1)
+
+
+def _path_accumulators(space: HeckeSpace, ells: np.ndarray, v: int | None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Weights on P^1 symbols with  a_ell d[(0:1)] = d . acc0[i]  and
+    a_ell d[(1:v)] = d . accv[i]  for every cuspidal dual eigenvector d and
+    ell = ells[i], from one continued-fraction pass over the block.
 
     T_ell maps the endpoint 0 to the paths {oo, k/ell}, 0 <= k < ell, and,
     for ell != q, {oo, 0}.  In the plus-quotient {oo, (ell-k)/ell} equals
     {oo, -k/ell} (translate by 1, then apply eta), so only 1 <= k <= ell/2
-    is expanded, with weight 2; the two paths to 0 touch only (1:0).  The
-    base (0:1) is the path {0, oo}; the base (1:v) is {-1/v, 0}, whose image
-    also subtracts the paths to (k v - 1)/(v ell) and, for ell != q, -ell/v.
-    accv is None when v is None.
+    is expanded, with weight 2 (1 at ell = 2, where k = ell/2); the two
+    paths to 0 touch only (1:0).  The base (0:1) is the path {0, oo}; the
+    base (1:v) is {-1/v, 0}, whose image also subtracts the paths to
+    (k v - 1)/(v ell) and, for ell != q, -ell/v = -ell^2/(v ell).  accv is
+    None when v is None.
     """
     q = space.q
-    ks = np.arange(1, ell // 2 + 1, dtype=np.int64)
-    fold = np.zeros(q + 1, dtype=np.float64)
-    fold[0] = 2.0 if ell != q else 1.0
-    _cf_accumulate_py(ks, np.full(ks.size, ell, dtype=np.int64),
-                      np.where(2 * ks == ell, 1.0, 2.0), q, space.inv_table, fold)
-    if v is None:
-        return -fold, None
-    num = np.arange(ell, dtype=np.int64) * v - 1
-    den = np.full(ell, v * ell, dtype=np.int64)
-    if ell != q:  # the [[l,0],[0,1]] coset is absent for U_q
-        num = np.append(num, -ell)
-        den = np.append(den, v)
-    accv = fold.copy()
-    _cf_accumulate_py(num, den, np.full(num.size, -1.0), q, space.inv_table, accv)
-    return -fold, accv
+    nums, dens = [np.arange(1, ell // 2 + 1) for ell in ells], list(ells)
+    if v is not None:  # the last path, from the [[l,0],[0,1]] coset, is absent for U_q
+        nums += [np.append(np.arange(ell) * v - 1, -ell * ell)[:ell + (ell != q)] for ell in ells]
+        dens += [v * ell for ell in ells]
+    counts = _cf_counts(q, space.inv_table, nums, dens)
+    fold = counts[:len(ells)] * np.where(ells == 2, 1.0, 2.0)[:, None]
+    fold[:, 0] += np.where(ells != q, 2.0, 1.0)
+    return -fold, None if v is None else fold - counts[len(ells):]
 
 
 def eigen_split(space: HeckeSpace, seed: int = 0) -> list[EigenformTable]:
@@ -609,7 +619,9 @@ def extend_prime_eigenvalues(
     Each prime ell expands the folded set of ell/2 paths to k/ell once for
     both bases, plus ell + 1 paths when some form is based at (1:v): about
     1.5 ell continued fractions per prime, ell/2 when every form sits on
-    (0:1), whatever the number of forms.
+    (0:1), whatever the number of forms.  One pass expands a block of
+    primes, each path's P^1 index stepped by a Moebius recurrence in its
+    partial quotients (_cf_counts); each prime has its own GEMV.
 
     Each form's functional-equation sign is eps_f = -w_q = a_q =
     sqrt(q) lambda_f(q), weight 2 at prime level (Atkin-Lehner).  When
@@ -636,11 +648,17 @@ def extend_prime_eigenvalues(
         denom[~on_zero] = duals[~on_zero, v]
     ells = primes if q <= n_max else np.append(primes, q)
     lam_out = np.zeros((len(tables), len(ells)), dtype=np.float64)
-    for i, ell in enumerate(ells.tolist()):
-        acc0, accv = _path_accumulators(space, ell, v)
-        lam_out[on_zero, i] = duals[on_zero] @ acc0
+    d0, dv = duals[on_zero], duals[~on_zero]
+    sets, lo = 1 if v is None else 2, 0
+    most = max(1, _BLOCK_BINS // (sets * (3 * q - 1)))  # primes that one block's bins allow
+    while lo < len(ells):  # a block ends at the prime that takes it to _BLOCK_PATHS paths
+        paths = np.cumsum(ells[lo:lo + most] // 2 + (sets - 1) * (ells[lo:lo + most] + 1))
+        hi = lo + min(int(np.searchsorted(paths, _BLOCK_PATHS)) + 1, paths.size)
+        acc0, accv = _path_accumulators(space, ells[lo:hi], v)
+        lam_out[on_zero, lo:hi] = np.stack([d0 @ acc for acc in acc0], axis=1)  # a GEMM would round otherwise
         if v is not None:
-            lam_out[~on_zero, i] = duals[~on_zero] @ accv
+            lam_out[~on_zero, lo:hi] = np.stack([dv @ acc for acc in accv], axis=1)
+        lo = hi
     lam_out /= denom[:, None] * np.sqrt(ells)
     # cross-check the engine against the exact-matrix Rayleigh values
     for f, t in enumerate(tables):

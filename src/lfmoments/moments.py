@@ -63,10 +63,12 @@ __all__ = [
     "m1_square_block",
     "delta23_trace_route",
     "build_moment_record",
+    "check_t",
     "T_ZERO_EPS",
 ]
 
 T_ZERO_EPS = 1e-12
+T_MAX = 25.0  # the main terms call zeta(4+4it), which special.zeta gives for |Im s| <= 100
 _POLE_MERGE_BAND = 1e-3
 _FOUR_PI_SQ = 4.0 * math.pi ** 2
 
@@ -93,12 +95,19 @@ class MomentRecord:
     warnings: tuple[str, ...] = ()
 
 
-def _check_p(p: int, q: int | None) -> None:
-    """The moments are stated for a prime p other than the level q."""
+def check_t(t: float) -> None:
+    """The main terms, and so every moment, hold for |t| <= T_MAX."""
+    if not abs(t) <= T_MAX:
+        raise ValueError(f"t must lie in [-{T_MAX:g}, {T_MAX:g}], where zeta(4+4it) is accurate, got {t:g}")
+
+
+def _check_pt(p: int, q: int | None, t: float) -> None:
+    """The moments are stated for a prime p other than the level q, and |t| <= T_MAX."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if p == q:
         raise ValueError(f"p must differ from the level q={q}")
+    check_t(t)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +120,7 @@ def empirical_moment(
     """sum_f L(1/2+it,f)^2 lambda_f(p^j); the empty family sums to 0."""
     if j not in (1, 2):
         raise ValueError(f"j must be 1 or 2, got {j}")
-    _check_p(p, tables[0].q if tables else None)
+    _check_pt(p, tables[0].q if tables else None, t)
     if not tables:
         return 0.0 + 0.0j
     pj = p ** j
@@ -128,7 +137,7 @@ def empirical_moment(
 
 def main_term_thm11(p: int, q: int, t: float) -> complex:
     """Main term of the first-power moment A(p,q,t), both t-branches."""
-    _check_p(p, q)
+    _check_pt(p, q, t)
     if abs(t) < T_ZERO_EPS:
         c = _zc()
         bracket = (
@@ -172,7 +181,7 @@ def main_term_thm11(p: int, q: int, t: float) -> complex:
 
 def main_term_thm12(p: int, q: int, t: float) -> complex:
     """Main term of the square-power moment A(p^2,q,t), both t-branches."""
-    _check_p(p, q)
+    _check_pt(p, q, t)
     if abs(t) < T_ZERO_EPS:
         c = _zc()
         shape = p + (p + 1.0) * (3.0 - p ** -2) / (1.0 + p ** -2)
@@ -340,7 +349,7 @@ def _residue_parts(kind: str, p: int, q: int, t: float, exact: bool) -> tuple[co
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {tuple(_KINDS)}")
     k, c_of, d_of = _KINDS[kind]
-    _check_p(p, q)
+    _check_pt(p, q, t)
     c = _zc()
     log_x = math.log(_FOUR_PI_SQ * p ** k / q)
     pref = (1.0 - 1.0 / q) * c.zeta2 ** 3 / c.zeta4 * c_of(p ** -2) / 2.0
@@ -451,7 +460,7 @@ def trace_route_moment(tables: list[EigenformTable], p: int, t: float, tol: floa
     that each form's lambda_f(n) meets there; tables must extend to
     p * afe_cutoff(q, t, tol).
     """
-    _check_p(p, tables[0].q if tables else None)
+    _check_pt(p, tables[0].q if tables else None, t)
     if not tables:
         return 0.0 + 0.0j
     q = tables[0].q
@@ -475,7 +484,7 @@ def m1_square_block(p: int, q: int, t: float, tol: float = 1e-8) -> complex:
     p | r^2/p, so no coefficient is, no kernel point is evaluated, and the
     block is exactly 0j.  Returned for the numeric assertion.
     """
-    _check_p(p, q)
+    _check_pt(p, q, t)
     n_cutoff = afe_cutoff(q, t, tol)
     lattice = p * n_cutoff
     k = np.arange(p, math.isqrt(lattice) + 1, p) ** 2
@@ -501,7 +510,7 @@ def delta23_trace_route(p: int, q: int, t: float, tol: float = 1e-8) -> tuple[co
     checks the sieve tau against the (alpha+3) formula and the two power
     bookkeepings.
     """
-    _check_p(p, q)
+    _check_pt(p, q, t)
     n_cutoff = afe_cutoff(q, t, tol)
     v = afe_weights(q, t, n_cutoff, tol)
     tau = divisor_sieve(n_cutoff)

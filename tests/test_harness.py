@@ -351,6 +351,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["mainterm", "--q", "101", "--p", "2", "--j", "2", "--t", "1e30"],
+        ["moment", "--q", "101", "--p", "2", "--j", "1", "--t", "300", "--tol", "1e-4"],
+        ["sweep", "--qmin", "11", "--qmax", "11", "--t", "0,30"],
+    ])
+    def test_t_outside_main_term_range_is_a_computation_error(self, argv, tmp_path, capsys):
+        # zeta(4+4it) in the main terms is accurate only for |t| <= 25; unchecked, 1e30 hangs
+        # in special.zeta and 300 reaches afe_cutoff, whose Gamma(1+it)^2 underflows to 0
+        extra = {"moment": ["--cache-dir", str(tmp_path)],
+                 "sweep": ["--out", str(tmp_path / "s.csv")]}.get(argv[0], [])
+        assert cli.main([*argv, *extra]) == 3
+        assert capsys.readouterr().err.startswith("error: t must lie in [-25, 25]")
+        assert not list(tmp_path.iterdir())  # rejected before any eigendata or CSV
+
     def test_usage_error_exit_code(self):
         out = self._run("moment", "--q", "11")
         assert out.returncode == 2

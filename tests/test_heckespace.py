@@ -236,6 +236,37 @@ class TestPathEngine:
         tables = hs.extend_prime_eigenvalues(space, hs.eigen_split(space, 0), 64)
         self._check_against_exact(space, tables)
 
+    @pytest.mark.parametrize("q", [37, 101])
+    def test_traces_match_exact_matrices_to_100(self, q, eigen_cache):
+        # independent of the path engine: Tr T_ell of the exact Merel matrix, ell = q is U_q
+        space, tables = eigen_cache(q)
+        assert len({abs(t.dual_vector[q]) >= 0.1 for t in tables}) == 2  # both bases
+        for ell in primes_up_to(100).tolist():
+            mat = hs.hecke_matrix(space, ell)
+            exact = float(sum(mat[i][i] for i in range(space.dim)))
+            assert abs(math.sqrt(ell) * sum(t.lam(ell) for t in tables) - exact) < 1e-9, (q, ell)
+
+    @pytest.mark.parametrize("q", [11, 101])
+    def test_cf_counts_match_python_convergents(self, q):
+        # the engine's Moebius recurrence against P^1 indices of the convergents themselves
+        rng = np.random.default_rng(q)
+        dens = rng.integers(1, 10**6, 300).tolist() + [1, 7, q, 5 * q]
+        nums = rng.integers(-10**6, 10**6, 300).tolist() + [5, 1, 1 - 3 * q * q, 1]
+        space = hs.build_space(q)
+        counts = hs._cf_counts(q, space.inv_table, [np.array([n]) for n in nums], dens)
+        for row, num, den in zip(counts, nums, dens):
+            a = num // den
+            num, den = den, num - a * den
+            hits, qprev, qcur, sgn = [0], 0, 1, 1  # step 0 hits (1:0)
+            while den:
+                a = num // den
+                num, den = den, num - a * den
+                qprev, qcur = qcur, a * qcur + qprev
+                hits.append(int(hs._p1(space.inv_table, q, qcur, sgn * qprev)))
+                sgn = -sgn
+            assert np.array_equal(row, np.bincount(hits, minlength=q + 1))
+        assert counts.sum() > 2 * len(nums)  # most paths take several steps
+
     def test_table_shorter_than_five(self):
         # the exact cross-check covers only the primes 2, 3, 5 that n_max reaches
         space = hs.build_space(11)
@@ -373,10 +404,12 @@ class TestFunctionalEquationSign:
         space, _ = eigen11
         engine = hs._path_accumulators
 
-        def off_at_q(space, ell, v):  # sqrt(11) lambda_f(11) becomes 0.9
-            acc0, accv = engine(space, ell, v)
-            if ell == space.q:
-                return 0.9 * acc0, None if accv is None else 0.9 * accv
+        def off_at_q(space, ells, v):  # sqrt(11) lambda_f(11) becomes 0.9
+            acc0, accv = engine(space, ells, v)
+            at_q = np.array(ells) == space.q
+            acc0[at_q] *= 0.9
+            if accv is not None:
+                accv[at_q] *= 0.9
             return acc0, accv
 
         monkeypatch.setattr(hs, "_path_accumulators", off_at_q)
