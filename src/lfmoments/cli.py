@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -46,6 +47,7 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(_finite_float(x) for x in text.split(",") if x)
 
 
+@functools.lru_cache(maxsize=1)  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lfmoments",
@@ -95,6 +97,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--out", type=str, default=None)
     return parser
+
+
+# built at import: the first parser loads locale (argparse's gettext), and
+# a command should load no module
+_build_parser()
 
 
 def _cmd_eigendata(args) -> int:

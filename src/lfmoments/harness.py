@@ -8,13 +8,13 @@ failures are isolated per cell into the trailing error column.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -153,14 +153,22 @@ def load_eigendata(path: str | Path) -> tuple[int, int, int, int, list[Eigenform
     A form whose lambda pairs are not finite [prime, number] pairs, whose sign
     is not +-1, or whose primes do not start with every prime <= n_max is a
     ValueError naming the form; any file it cannot read is a ValueError
-    naming the file."""
+    naming the file.
+
+    The file is read on every call, but its parse is memoized per process,
+    keyed on the bytes themselves, so a rewritten file is parsed again even
+    at the same size and mtime.  The memoized tables are shared between
+    callers, so their arrays are read-only."""
     try:
-        return _parse_eigendata(json.loads(Path(path).read_text(encoding="utf-8")))
+        q, dim, seed, n_max, tables = _parse_eigendata(Path(path).read_bytes())
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"cache file {path}: {type(exc).__name__}: {exc}") from None
+    return q, dim, seed, n_max, list(tables)  # the caller's own list of the shared tables
 
 
-def _parse_eigendata(data) -> tuple[int, int, int, int, list[EigenformTable]]:
+@functools.lru_cache(maxsize=2)  # a moment record reads one level, the route checks two
+def _parse_eigendata(raw: bytes) -> tuple[int, int, int, int, list[EigenformTable]]:
+    data = json.loads(raw.decode("utf-8"))
     if data.get("format_version") != CACHE_FORMAT_VERSION:
         raise ValueError(f"unsupported cache format_version: {data.get('format_version')}")
     q, dim, seed, n_max = data["q"], data["dim"], data["seed"], data["n_max"]
@@ -182,11 +190,12 @@ def _parse_eigendata(data) -> tuple[int, int, int, int, list[EigenformTable]]:
         if not np.array_equal(head, need):  # the first mismatch, or the first prime past a short list
             first = need[np.argmax(np.append(head != need[:head.size], True))]
             raise ValueError(f"cache form {form['index']}: no lambda at the prime {first}")
+        primes, lam = pairs[:, 0].astype(np.int64), pairs[:, 1].copy()
+        primes.flags.writeable = lam.flags.writeable = False
         tables.append(
             EigenformTable(
                 q=q, index=int(form["index"]), n_max=int(n_max),
-                primes=pairs[:, 0].astype(np.int64), prime_lambda=pairs[:, 1].copy(),
-                sign=int(form["sign"]), residual=0.0,
+                primes=primes, prime_lambda=lam, sign=int(form["sign"]), residual=0.0,
             )
         )
     if len(tables) != dim:
@@ -286,6 +295,8 @@ def run_sweep(config: SweepConfig) -> tuple[list[dict], list[str]]:
     qs = [int(q) for q in primes_up_to(config.q_max) if q >= config.q_min]
     units = [(q, config) for q in qs]
     if config.threads > 1:
+        from concurrent.futures import ProcessPoolExecutor  # not at the top: 1.8 MB of RSS
+
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
             chunks = list(pool.map(_sweep_unit, units))
     else:

@@ -383,7 +383,7 @@ class EigenformTable:
     sign: int
     residual: float
     dual_vector: np.ndarray | None = None   # normalized functional on P^1 symbols
-    _full: np.ndarray | None = None
+    _full: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def lam(self, n: int) -> float:
         if n < 1 or n > self.n_max:
@@ -401,6 +401,7 @@ class EigenformTable:
             self._full = _extend_multiplicative(
                 self.q, self.primes, self.prime_lambda, self.n_max
             )
+            self._full.flags.writeable = False  # loaded tables are shared between callers
         return self._full
 
 
@@ -678,6 +679,6 @@ def extend_prime_eigenvalues(
         )
     return [
         replace(t, n_max=int(n_max), primes=primes, prime_lambda=lam_out[f, :len(primes)],
-                sign=int(np.rint(root_q_lam[f])), _full=None)
+                sign=int(np.rint(root_q_lam[f])))
         for f, t in enumerate(tables)
     ]

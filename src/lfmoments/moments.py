@@ -390,6 +390,7 @@ def _mellin_integrand(kind: str, p: int, q: int, t: float, u: np.ndarray) -> np.
 
 def _refined_mellin_line(kind: str, p: int, q: int, t: float, sigma: float, tol: float) -> complex:
     """The kind's line integral on Re u = sigma; its poles lie on Re u = 0 and -1/2."""
+    _check_pt(p, q, t)  # before the line, whose half-width grows with |t|
     return halving_quad(lambda u: _mellin_integrand(kind, p, q, t, u).sum(), sigma,
                         min(abs(sigma), abs(sigma + 0.5)), max(8.0, abs(t) + 8.0), tol,
                         f"mellin quadrature for {kind} at (p={p}, q={q}, t={t}, sigma={sigma})")

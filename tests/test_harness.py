@@ -103,6 +103,7 @@ class TestCacheFile:
         _, tables = eigen101
         path = tmp_path / "cache.json"
         ha.save_eigendata(path, 101, 0, 4096, tables)
+        ha._parse_eigendata.cache_clear()  # a memoized parse would skip the extension
         hs._multiplicative_plan.cache_clear()
         for _ in range(2):
             *_, loaded = ha.load_eigendata(path)
@@ -161,6 +162,54 @@ class TestCacheFile:
         ha.get_eigendata(11, 128, 0, tmp_path)
         tables = ha.get_eigendata(11, 512, 0, tmp_path)
         assert tables[0].n_max >= 512
+
+
+class TestParsedMemo:
+    def test_rewrite_with_larger_n_max_is_reread(self, tmp_path):
+        ha.get_eigendata(11, 128, 0, tmp_path)
+        path = tmp_path / ha.cache_file_name(11, 0)
+        assert ha.load_eigendata(path)[3] == 128
+        ha.get_eigendata(11, 512, 0, tmp_path)  # rebuilt and saved over the file
+        *_, n_max, tables = ha.load_eigendata(path)
+        assert n_max == tables[0].n_max == 512
+
+    def test_same_size_rewrite_in_place_is_reread(self, small_tables, tmp_path):
+        path = tmp_path / "cache.json"
+        ha.save_eigendata(path, 37, 0, 512, small_tables)
+        *_, before = ha.load_eigendata(path)
+        text = path.read_text()
+        head, lam2 = re.search(r'("lambda": \[\[2, )(-?[0-9.]+)', text).groups()
+        digit = "1" if lam2[-1] != "1" else "2"
+        edited = text.replace(head + lam2, head + lam2[:-1] + digit, 1)
+        assert len(edited) == len(text) and edited != text
+        path.write_text(edited)  # same size, perhaps the same mtime tick
+        *_, after = ha.load_eigendata(path)
+        assert after[0].prime_lambda[0] != before[0].prime_lambda[0]
+        assert after[0].prime_lambda[0] == float(lam2[:-1] + digit)
+
+    def test_shared_arrays_are_read_only(self, small_tables, tmp_path):
+        path = tmp_path / "cache.json"
+        ha.save_eigendata(path, 37, 0, 512, small_tables)
+        *_, tables = ha.load_eigendata(path)
+        for array in (tables[0].primes, tables[0].prime_lambda, tables[0].full()):
+            with pytest.raises(ValueError, match="read-only"):
+                array[2] = 0.5
+        tables.pop()  # the list is the caller's own
+        *_, again = ha.load_eigendata(path)
+        assert len(again) == 2 and again[0] is tables[0]
+
+    def test_corrupt_file_raises_on_every_load(self, tmp_path):
+        clean_dir, dirty_dir = tmp_path / "clean", tmp_path / "dirty"
+        ha.get_eigendata(11, 1024, 0, clean_dir)
+        ha.get_eigendata(11, 1024, 0, dirty_dir)
+        path = dirty_dir / ha.cache_file_name(11, 0)
+        ha.load_eigendata(path)  # the clean bytes are memoized
+        path.write_text(re.sub(r'"sign": -?1', '"sign": 0', path.read_text(), count=1))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="cache form 0: sign 0 is not"):
+                ha.load_eigendata(path)
+        ha.get_eigendata(11, 1024, 0, dirty_dir)
+        assert path.read_bytes() == (clean_dir / ha.cache_file_name(11, 0)).read_bytes()
 
 
 class TestSweepConfig:
@@ -325,6 +374,33 @@ class TestCli:
                              timeout=120)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip().splitlines()[-1] == "0 []"
+
+    def test_import_loads_no_multiprocessing(self):
+        code = "import sys, lfmoments, lfmoments.cli; print('multiprocessing' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
+
+    def test_sweep_threads_write_the_same_csv(self, tmp_path):
+        argv = ["sweep", "--qmin", "11", "--qmax", "31", "--tol", "1e-4"]
+        for threads in ("1", "2"):
+            assert cli.main([*argv, "--threads", threads, "--cache-dir", str(tmp_path / threads),
+                             "--out", str(tmp_path / f"{threads}.csv")]) == 0
+        assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
+
+    def test_repeated_moment_in_process(self, tmp_path, capsys):
+        argv = ["moment", "--q", "11", "--p", "2", "--tol", "1e-6", "--cache-dir", str(tmp_path)]
+        assert cli.main(["eigendata", "--q", "11", "--n-max", "1024",
+                         "--cache-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        cli._build_parser.cache_clear()
+        outs = []
+        for _ in range(2):
+            assert cli.main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and abs(json.loads(outs[0])["empirical"][0] - (-0.0911246)) < 1e-5
+        assert cli._build_parser.cache_info().misses == 1
 
     def test_eigendata_reports_the_n_max_of_its_file(self, tmp_path, capsys):
         argv = ["eigendata", "--q", "11", "--cache-dir", str(tmp_path), "--n-max"]

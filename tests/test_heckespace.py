@@ -335,10 +335,17 @@ class TestLambdaExtend:
         _, tables = eigen101
         t = tables[0]
         keep = t.primes != 547
-        short = dataclasses.replace(t, primes=t.primes[keep], prime_lambda=t.prime_lambda[keep],
-                                    _full=None)
+        short = dataclasses.replace(t, primes=t.primes[keep], prime_lambda=t.prime_lambda[keep])
         with pytest.raises(hs.MissingEigenvalueError, match=r"below 16384: \[547\]"):
             short.full()
+
+    def test_replaced_table_extends_its_new_lambda(self, eigen37):
+        _, tables = eigen37
+        t = tables[0]
+        t.full()
+        half = dataclasses.replace(t, prime_lambda=np.full_like(t.prime_lambda, 0.5))
+        assert half.full()[2] == 0.5 and half.full()[4] == 0.5 * 0.5 - 1.0
+        assert np.array_equal(t.full()[t.primes], t.prime_lambda)
 
     def test_matches_trial_division_reference(self, eigen37, eigen101):
         # bit for bit: both peel the smallest prime power off each n

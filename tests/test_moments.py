@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -182,6 +183,14 @@ class TestResidueVsContour:
     def test_unstable_line_raises_quadrature_error(self):
         with pytest.raises(QuadratureError, match="mellin quadrature for M22"):
             mo.mellin_numeric("M22", 2, 101, 0.0, tol=1e-30)
+
+    @pytest.mark.parametrize("call", [lambda: mo.mellin_numeric("M22", 2, 101, 1e6),
+                                      lambda: mo.mellin_remainder("M22", 2, 101, 30.0)])
+    def test_mellin_lines_reject_t_out_of_range(self, call):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=r"t must lie in \[-25, 25\]"):
+            call()
+        assert time.perf_counter() - t0 < 0.5  # before any node: unchecked, 1e6 ran past 20 s
 
     def test_every_mellin_node_evaluated_once(self, monkeypatch):
         lines = {}
