@@ -1,7 +1,7 @@
 """Command-line interface: eigendata, moment, mainterm, sweep, verify.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 computation error.
+Exit codes: 0 success, 1 verification failure, 2 usage error (bad
+arguments, or an AFE cutoff past AFE_CUTOFF_MAX), 3 computation error.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .harness import (
     save_eigendata,
     write_sweep_csv,
 )
-from .lvalue import afe_cutoff
+from .lvalue import CutoffCapError, afe_cutoff
 from .moments import build_moment_record, check_t, main_term_thm11, main_term_thm12
 from .verify import SUITE_NAMES, run_suite
 
@@ -200,6 +200,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except CutoffCapError as exc:  # the arguments ask for more than the tool supports
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, RuntimeError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION

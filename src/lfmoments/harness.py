@@ -26,7 +26,7 @@ from .heckespace import (
     eigen_split,
     extend_prime_eigenvalues,
 )
-from .lvalue import afe_cutoff
+from .lvalue import CutoffCapError, afe_cutoff
 from .moments import MomentRecord, build_moment_record, check_t
 from .special import is_prime, primes_up_to
 
@@ -231,12 +231,12 @@ def get_eigendata(
 
 
 def _needed_n_max(q: int, p_list, j_list, t_list, tol: float) -> int:
-    need = 0
+    need = max(p ** j for p in p_list for j in j_list)
     for t in t_list:
-        need = max(need, afe_cutoff(q, t, tol))
-    for p in p_list:
-        for j in j_list:
-            need = max(need, p ** j)
+        try:
+            need = max(need, afe_cutoff(q, t, tol))
+        except CutoffCapError:
+            pass  # the cells at this t become error rows
     return need
 
 

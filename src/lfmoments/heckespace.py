@@ -23,10 +23,11 @@ Hecke operators act two ways, and the routes cross-check each other:
     (_hecke2).  Halved, it is the float T_n of the eigen split;
     hecke_matrix cuts it to exact rational matrices on the cuspidal basis,
     used for small primes and every exact invariant (commutativity);
-  * a linear-time path route for eigenvalues at large primes: a dual
-    eigenvector is evaluated on T_l applied to one of two base paths, with
-    the image paths expanded into Manin symbols by continued fractions
-    (Manin's trick).  This is the same Heilbronn-matrix action, unrolled.
+  * Cremona's Heilbronn matrices for eigenvalues at every prime l: the
+    nearest-integer continued fractions of r/l, 1 <= r <= l/2, carry one
+    base symbol of each form, (0:1) or a shared (1:v), to its image under
+    T_l (_heilbronn_counts), and a dual eigenvector read on the counts
+    gives a_l.  About l/2 continued fractions per prime serve both bases.
 
 Eigenvalues are stored in the normalization lambda_f(n) = a_n / sqrt(n),
 so lambda_f(1) = 1 and the multiplicative relation of the Fourier
@@ -43,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.random import default_rng  # loaded with the package, not in the first split
 
-from .special import is_prime, primes_up_to
+from .special import fixed_matmul, is_prime, primes_up_to
 
 __all__ = [
     "HeckeError",
@@ -477,72 +478,99 @@ def trace(space: HeckeSpace, tables: list[EigenformTable], n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Eigen split and the continued-fraction path engine
+# Eigen split and the Heilbronn-Cremona engine
 
 
-# A block of consecutive primes closes at about this many paths or bins.
-_BLOCK_PATHS = 20_000
+# A block of consecutive primes closes at about this many continued fractions
+# or bins.  Its hit keys are counted whenever _KEY_BUFFER are buffered: 1 MB
+# ran as fast as 2 MB, whose freed block raised malloc's mmap threshold and
+# the peak RSS of a later moment record, while 512 KB ran 40% slower.
+_BLOCK_PATHS = 5_000
 _BLOCK_BINS = 1 << 16
+_KEY_BUFFER = 1 << 17
 
 
-def _cf_counts(q: int, inv: np.ndarray, nums: list[np.ndarray], dens: list[int]) -> np.ndarray:
-    """How often the continued fractions of the paths {oo, num/den}, den > 0,
-    hit each P^1 index: one row of q+1 counts per group (nums[g], dens[g]).
+def _heilbronn_counts(
+    space: HeckeSpace, ells: np.ndarray, v: int | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """How often T_ell sends the base symbols (0:1) and (1:v) to each P^1
+    index: rows acc0[i] and accv[i] of q+1 counts with  a_ell d[(0:1)] =
+    d . acc0[i]  and  a_ell d[(1:v)] = d . accv[i]  for ell = ells[i] and
+    every cuspidal dual eigenvector d.  accv is None when v is None.
 
-    Step i hits x_i = sgn_i q_{i-1}/q_i mod q, sgn_i = (-1)^(i+1), for the
-    convergent denominators q_i (oo = (0:1) = index q when q | q_i); step 0
-    hits x_0 = 0 = (1:0).  No convergent is kept: y_i = q_{i-1}/q_i obeys the
-    Moebius recurrence y_i = 1/(a_i + y_{i-1}) mod q, 0 follows oo, and so
-    x_{i+1} = -1/(sgn_i a_{i+1} + x_i).  A path's state b = width*g + y (oo
-    coded as 2q - 1) is its bin; one add and one gather from the step table,
-    tiled over the groups, advance it.  Even steps are negated at the end:
-    eta identifies x with -x, but each GEMV's summation order follows the bins.
+    T_ell (u:w) is the sum of (u:w) M over Cremona's Heilbronn matrices of
+    determinant ell (Algorithms for Modular Elliptic Curves, 1997, 2.4; Merel
+    1994).  For odd ell and |r| <= ell/2 they are the steps of the
+    nearest-integer continued fraction of r/ell: start at M = [[x1, x2],
+    [y1, y2]] = [[ell, -r], [0, 1]], and while x2 != 0 take Q = round(x1/x2)
+    and (x1, x2) <- (x2, Q x2 - x1), (y1, y2) <- (y2, Q y2 - y1).  Add
+    [[1, 0], [0, ell]].  The plus-quotient identifies (u:w) M_{-r} with
+    (u:-w) M_r, so only 1 <= r <= ell/2 is expanded: (0:1) counts twice,
+    (1:v) runs as the two states (1:v) and (1:-v), and r = 0 is the single
+    matrix [[ell, 0], [0, 1]].  ell = 2 takes r = 1 once, on (0:1) and (1:-v):
+    Sage's four matrices.  At ell = q a state whose row is 0 mod q is (0:0),
+    outside P^1; it is not counted (its bins are a trash group).
+
+    No matrix is kept.  A state's row s_i = u x_i + w y_i obeys s_{i+1} =
+    Q s_i - s_{i-1}, so tau = -s_i/s_{i+1} mod q steps as tau' = -1/(tau + Q)
+    (oo coded as 2q - 1, and followed by 0): one add and one gather from the
+    step table of the level, tiled over the block's bins, advance it, and
+    the rounded division is shared by the states of a continued fraction.
+    The image (s_i : s_{i+1}) has P^1 index -1/tau.  Each step's states are
+    written into one key buffer, counted by a bincount when it fills.
     """
-    width, inf = 3 * q - 1, 2 * q - 1  # finite y + a < inf, and inf + a < width
-    step = np.concatenate([inv, inv[:q - 1], np.zeros(q, dtype=np.int64)])  # 1/(y + a); oo + a -> 0
-    step[[0, q]] = inf  # y + a = 0 mod q -> oo
-    offsets = width * np.arange(len(nums), dtype=np.int64)
-    tiled = (offsets[:, None] + step).ravel()
-    sizes = [len(num) for num in nums]
-    b, den = np.repeat(offsets, sizes), np.repeat(dens, sizes)
-    num, den = den, np.concatenate(nums) % den  # step 0, outside the loop
-    hits, odd = np.zeros((2, len(nums), width), dtype=np.int64), 0
-    while b.size:  # every later partial quotient is >= 1: num > den > 0 until den = 0
-        hits[odd] += np.bincount(b, minlength=tiled.size).reshape(len(nums), width)
-        live = np.flatnonzero(den != 0)
-        if live.size < den.size:
-            num, den, b = num.take(live), den.take(live), b.take(live)
-        a, r = np.divmod(num, den)
-        a[a >= q] %= q
-        b = tiled[b + a]
-        num, den, odd = den, r, odd ^ 1
-    x = np.arange(q + 1)  # take keeps C order: a strided row would round its GEMV otherwise
-    return hits[1].take(np.where(x < q, x, inf), 1) + hits[0].take(np.where(x < q, -x % q, inf), 1)
-
-
-def _path_accumulators(space: HeckeSpace, ells: np.ndarray, v: int | None) -> tuple[np.ndarray, np.ndarray | None]:
-    """Weights on P^1 symbols with  a_ell d[(0:1)] = d . acc0[i]  and
-    a_ell d[(1:v)] = d . accv[i]  for every cuspidal dual eigenvector d and
-    ell = ells[i], from one continued-fraction pass over the block.
-
-    T_ell maps the endpoint 0 to the paths {oo, k/ell}, 0 <= k < ell, and,
-    for ell != q, {oo, 0}.  In the plus-quotient {oo, (ell-k)/ell} equals
-    {oo, -k/ell} (translate by 1, then apply eta), so only 1 <= k <= ell/2
-    is expanded, with weight 2 (1 at ell = 2, where k = ell/2); the two
-    paths to 0 touch only (1:0).  The base (0:1) is the path {0, oo}; the
-    base (1:v) is {-1/v, 0}, whose image also subtracts the paths to
-    (k v - 1)/(v ell) and, for ell != q, -ell/v = -ell^2/(v ell).  accv is
-    None when v is None.
-    """
-    q = space.q
-    nums, dens = [np.arange(1, ell // 2 + 1) for ell in ells], list(ells)
-    if v is not None:  # the last path, from the [[l,0],[0,1]] coset, is absent for U_q
-        nums += [np.append(np.arange(ell) * v - 1, -ell * ell)[:ell + (ell != q)] for ell in ells]
-        dens += [v * ell for ell in ells]
-    counts = _cf_counts(q, space.inv_table, nums, dens)
-    fold = counts[:len(ells)] * np.where(ells == 2, 1.0, 2.0)[:, None]
-    fold[:, 0] += np.where(ells != q, 2.0, 1.0)
-    return -fold, None if v is None else fold - counts[len(ells):]
+    q, inv, n = space.q, space.inv_table, len(ells)
+    width, inf = 3 * q - 1, 2 * q - 1  # finite tau + Q < inf, and inf + Q < width
+    step = np.concatenate([(q - inv) % q, (q - inv[:q - 1]) % q, np.zeros(q, dtype=np.int64)])
+    step[[0, q]] = inf  # tau + Q = 0 mod q -> oo; oo + Q -> 0
+    sets = 1 if v is None else 2  # bin groups per prime, then one trash group
+    tiled = (width * np.arange(sets * n + 1, dtype=np.int64)[:, None] + step).ravel()
+    half = ells // 2
+    path = np.repeat(np.arange(n), half)
+    r = np.arange(1, path.size + 1) - np.repeat(np.cumsum(half) - half, half)
+    ell = ells.take(path)
+    states = [width * sets * path]  # (0:1) M_r starts at (0 : 1): tau = 0
+    if v is not None:
+        base, trash = width * (sets * path + 1), width * sets * n
+        scale = inv[ells % q].take(path)  # 1/ell mod q, and 0 at ell = q
+        at_q = np.flatnonzero(ell == q)
+        for sv in (v, -v):  # (1:+-v) M_r starts at (ell : +-v - r): tau = step[(+-v - r)/ell]
+            rho = (sv - r) * scale
+            states.append(base + step.take(rho - q * (rho // q)))  # // by a scalar is far cheaper than %
+            # at ell = q: (0 : s) is oo, so tau = 0, and (0 : 0) is dropped
+            states[-1][at_q] = np.where((sv - r[at_q]) % q != 0, base[at_q], trash)
+        if ells[0] == 2:
+            states[1][0] = trash  # ell = 2 runs r = 1 once, on (1:-v) only
+    st = np.stack(states)
+    x1, x2 = ell.astype(np.float64), -r.astype(np.float64)  # exact: |x1|, |x2| <= ell
+    hits = np.zeros(tiled.size, dtype=np.int64)
+    keys = np.empty(max(_KEY_BUFFER, st.size), dtype=np.int64)
+    keys[:st.size], held = st.ravel(), st.size
+    while (live := np.flatnonzero(x2 != 0)).size:
+        if live.size < x2.size:
+            x1, x2, st = x1.take(live), x2.take(live), st.take(live, axis=1)
+        quot = np.rint(x1 / x2)  # nearest: the shortest expansions; any rounding gives unimodular steps
+        x1, x2 = x2, quot * x2 - x1
+        quot = quot.astype(np.int64)
+        at = st + (quot - q * (quot // q))
+        if held + at.size > keys.size:
+            hits += np.bincount(keys[:held], minlength=hits.size)
+            held = 0
+        st = keys[held:held + at.size].reshape(at.shape)
+        tiled.take(at, out=st, mode="clip")  # every index is in range; "raise" would buffer out
+        held += at.size
+    hits += np.bincount(keys[:held], minlength=hits.size)
+    x = np.arange(1, q)  # P^1 index rho <- tau = -1/rho: oo <- 0, 0 <- oo
+    counts = hits.reshape(-1, width)[:sets * n].take(np.concatenate([[inf], q - inv[x], [0]]), axis=1)
+    acc0 = counts[::sets] * np.where(ells == 2, 1.0, 2.0)[:, None]
+    acc0[:, q] += np.where(ells == q, 1.0, 2.0)  # [[ell, 0], [0, 1]]; [[1, 0], [0, ell]] unless ell = q
+    if v is None:
+        return acc0, None
+    accv = counts[1::sets].astype(np.float64)
+    rows = np.arange(n)
+    accv[rows, _p1(inv, q, ells, v)] += 1.0  # (1:v) [[ell, 0], [0, 1]] = (ell : v)
+    accv[rows, v * ells % q] += 1.0  # (1:v) [[1, 0], [0, ell]] = (1 : v ell)
+    return acc0, accv
 
 
 def eigen_split(space: HeckeSpace, seed: int = 0) -> list[EigenformTable]:
@@ -613,22 +641,25 @@ def eigen_split(space: HeckeSpace, seed: int = 0) -> list[EigenformTable]:
 def extend_prime_eigenvalues(
     space: HeckeSpace, tables: list[EigenformTable], n_max: int
 ) -> list[EigenformTable]:
-    """Fill lambda_f at every prime <= n_max through the path engine.
+    """Fill lambda_f at every prime <= n_max through the Heilbronn engine.
 
     Forms with |dual[(0:1)]| >= 0.1 are based at (0:1); all others share
     one generic base (1:v), the v that maximizes their smallest |dual[v]|.
-    Each prime ell expands the folded set of ell/2 paths to k/ell once for
-    both bases, plus ell + 1 paths when some form is based at (1:v): about
-    1.5 ell continued fractions per prime, ell/2 when every form sits on
-    (0:1), whatever the number of forms.  One pass expands a block of
-    primes, each path's P^1 index stepped by a Moebius recurrence in its
-    partial quotients (_cf_counts); each prime has its own GEMV.
+    Each prime ell expands the ell/2 nearest-integer continued fractions of
+    r/ell once, carrying the states of (0:1), (1:v) and (1:-v) together
+    (_heilbronn_counts), whatever the number of forms.  One pass expands a
+    block of consecutive primes, and each base has one product of its duals
+    with the block's counts, cut to sizes OpenBLAS runs on one thread
+    (fixed_matmul), so the bits do not depend on its thread count.
 
     Each form's functional-equation sign is eps_f = -w_q = a_q =
     sqrt(q) lambda_f(q), weight 2 at prime level (Atkin-Lehner).  When
     q > n_max the engine runs once more at ell = q for it; lambda_f(q) is
     then not stored.  IndeterminateSignError when sqrt(q) lambda_f(q) is
-    more than 1e-3 away from +-1.
+    more than 1e-3 away from +-1.  The values at 2, 3 and 5 must match the
+    split's exact-matrix values to 1e-7, and every prime carries a
+    certificate: Tr T_ell = sqrt(ell) sum_f lambda_f(ell) within 1e-6 of an
+    integer, and |lambda_f(ell)| <= 2 (Deligne); HeckeError otherwise.
     """
     if not tables:
         return []
@@ -653,12 +684,12 @@ def extend_prime_eigenvalues(
     sets, lo = 1 if v is None else 2, 0
     most = max(1, _BLOCK_BINS // (sets * (3 * q - 1)))  # primes that one block's bins allow
     while lo < len(ells):  # a block ends at the prime that takes it to _BLOCK_PATHS paths
-        paths = np.cumsum(ells[lo:lo + most] // 2 + (sets - 1) * (ells[lo:lo + most] + 1))
+        paths = np.cumsum(ells[lo:lo + most] // 2)
         hi = lo + min(int(np.searchsorted(paths, _BLOCK_PATHS)) + 1, paths.size)
-        acc0, accv = _path_accumulators(space, ells[lo:hi], v)
-        lam_out[on_zero, lo:hi] = np.stack([d0 @ acc for acc in acc0], axis=1)  # a GEMM would round otherwise
+        acc0, accv = _heilbronn_counts(space, ells[lo:hi], v)
+        lam_out[on_zero, lo:hi] = fixed_matmul(d0, acc0.T)
         if v is not None:
-            lam_out[~on_zero, lo:hi] = np.stack([dv @ acc for acc in accv], axis=1)
+            lam_out[~on_zero, lo:hi] = fixed_matmul(dv, accv.T)
         lo = hi
     lam_out /= denom[:, None] * np.sqrt(ells)
     # cross-check the engine against the exact-matrix Rayleigh values
@@ -666,7 +697,7 @@ def extend_prime_eigenvalues(
         for ip, ell in enumerate(primes[:3].tolist()):  # 2, 3, 5 as far as n_max reaches
             if abs(lam_out[f, ip] - t.prime_lambda[ip]) > 1e-7:
                 raise HeckeError(
-                    f"path engine disagrees with exact T_{ell} at q={q}: "
+                    f"Heilbronn engine disagrees with exact T_{ell} at q={q}: "
                     f"{lam_out[f, ip]} vs {t.prime_lambda[ip]}"
                 )
     root_q_lam = math.sqrt(q) * lam_out[:, int(np.searchsorted(ells, q))]
@@ -676,6 +707,18 @@ def extend_prime_eigenvalues(
         raise IndeterminateSignError(
             f"no FE sign at q={q}, form {tables[f].index}: "
             f"sqrt(q) lambda_f(q) = {root_q_lam[f]:.6g} is not within 1e-3 of +-1"
+        )
+    # a certificate at every prime: Tr T_ell = sqrt(ell) sum_f lambda_f(ell) is an
+    # integer, and |lambda_f(ell)| <= 2 (Deligne)
+    trace = np.sqrt(ells) * lam_out.sum(axis=0)
+    frac = np.abs(trace - np.rint(trace))
+    peak = np.max(np.abs(lam_out), axis=0)
+    bad = np.flatnonzero(~((frac <= 1e-6) & (peak <= 2.0 + 1e-9)))  # NaN fails too
+    if bad.size:
+        i = int(bad[0])
+        raise HeckeError(
+            f"eigenvalue certificate failed at q={q}, ell={int(ells[i])}: Tr T_ell = {trace[i]:.9g} "
+            f"is {frac[i]:.2e} from an integer (limit 1e-6); max |lambda_f(ell)| = {peak[i]:.9g} (limit 2)"
         )
     return [
         replace(t, n_max=int(n_max), primes=primes, prime_lambda=lam_out[f, :len(primes)],

@@ -16,7 +16,7 @@ series for the completed L-function (no contour quadrature involved):
 
     L(1/2, f) = (1 + eps_f) sum_n lambda_f(n) n^{-1/2} e^{-2 pi n / sqrt(q)},
 
-with eps_f = sqrt(q) lambda_f(q) as the path engine stores it on the table.
+with eps_f = sqrt(q) lambda_f(q) as the Heilbronn engine stores it on the table.
 """
 
 from __future__ import annotations
@@ -30,10 +30,12 @@ import numpy as np
 
 from .heckespace import EigenformTable, MissingEigenvalueError
 from .smoothing import KernelParams, truncation_cutoff, wt_grid
-from .special import divisor_sieve, gamma
+from .special import divisor_sieve, fixed_matmul, gamma
 
 __all__ = [
+    "AFE_CUTOFF_MAX",
     "AfeResult",
+    "CutoffCapError",
     "afe_assemble",
     "afe_cutoff",
     "afe_weights",
@@ -44,15 +46,31 @@ __all__ = [
 ]
 
 
+# The largest lattice cutoff a moment may ask for.  The cutoff grows like
+# e^{pi |t|}: at q=101 and tol 1e-4 it is 4096 at t=0 and 4194304 at t=10,
+# where the eigendata would need every prime below 4.2e6.
+AFE_CUTOFF_MAX = 1 << 20
+
+
+class CutoffCapError(ValueError):
+    """The AFE cutoff at (q, t, tol) exceeds AFE_CUTOFF_MAX."""
+
+
 def afe_cutoff(q: int, t: float, tol: float) -> int:
     """Lattice cutoff l_squared_afe will use at (q, t, tol).
 
     The 1/|Gamma(1+it)|^2 prefactor amplifies the lattice sums, so the
     cutoff is solved at the correspondingly tightened tolerance; tables
-    must extend at least this far.
+    must extend at least this far.  CutoffCapError above AFE_CUTOFF_MAX.
     """
     amp = abs(gamma(1.0 + 1j * t)) ** 2
-    return truncation_cutoff(q, 1, min(tol * amp, 1e-4))
+    n = truncation_cutoff(q, 1, min(tol * amp, 1e-4))
+    if n > AFE_CUTOFF_MAX:
+        raise CutoffCapError(
+            f"AFE cutoff {n} at q={q}, t={t}, tol={tol} exceeds AFE_CUTOFF_MAX = {AFE_CUTOFF_MAX}; "
+            "use a smaller |t| or a larger tol"
+        )
+    return n
 
 
 def wt_lattice(denom: float, t: float, n: int, tol: float) -> np.ndarray:
@@ -138,7 +156,7 @@ def l_squared_many(tables: list[EigenformTable], t: float, tol: float = 1e-8) ->
     v = afe_weights(q, t, n_cutoff, tol)
     d_cutoff = int(math.isqrt(n_cutoff))
     tail = _tail_model(q, n_cutoff) / amp
-    sums = np.vstack([table.full(n_cutoff)[1:n_cutoff + 1] for table in tables]) @ v
+    sums = fixed_matmul(np.vstack([table.full(n_cutoff)[1:n_cutoff + 1] for table in tables]), v)
     return [AfeResult(value=afe_assemble(s, q, t), n_cutoff=n_cutoff, d_cutoff=d_cutoff,
                       tail_bound=tail) for s in sums]
 

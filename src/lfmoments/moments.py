@@ -37,6 +37,7 @@ from .lvalue import afe_assemble, afe_cutoff, afe_weights, l_squared_many
 from .smoothing import KernelParams, halving_quad, wt_grid
 from .special import (
     divisor_sieve,
+    fixed_matmul,
     gamma,
     gamma_vec,
     is_prime,
@@ -314,7 +315,7 @@ def tau_square_series(
         vals = (j + 2 * alpha[1:] + 1) * tau2[m[1:]]
         vals = vals.astype(np.float64)
     powers = np.exp(-s * np.log(ell))
-    truncated = complex(np.dot(vals, powers))
+    truncated = complex(fixed_matmul(vals[None], powers)[0])
     base = zeta(s) ** 3 / zeta(2.0 * s)
     if kind == "plain":
         closed = base
@@ -473,7 +474,7 @@ def trace_route_moment(tables: list[EigenformTable], p: int, t: float, tol: floa
     gvals = tr[p * np.arange(1, n_cutoff + 1)].copy()
     mult = np.arange(1, n_cutoff + 1) % p == 0
     gvals[mult] += tr[np.arange(1, n_cutoff + 1)[mult] // p]
-    return afe_assemble(gvals @ afe_weights(q, t, n_cutoff, tol), q, t)
+    return afe_assemble(fixed_matmul(gvals[None], afe_weights(q, t, n_cutoff, tol))[0], q, t)
 
 
 def m1_square_block(p: int, q: int, t: float, tol: float = 1e-8) -> complex:

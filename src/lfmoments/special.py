@@ -12,6 +12,8 @@ main-term formulas) reduces to a handful of primitives implemented here:
                        step through zeta.
   * zeta_q(s, q)       the level-deprived zeta (1 - q^{-s}) zeta(s).
   * divisor_count / divisor_sieve / primes_up_to / von Mangoldt helpers.
+  * fixed_matmul(a, b) a @ b in blocks that OpenBLAS runs on one thread,
+                       so the bits do not depend on its thread count.
 
 All functions are pure and thread-safe.
 """
@@ -40,6 +42,7 @@ __all__ = [
     "primes_up_to",
     "is_prime",
     "von_mangoldt_log_deriv",
+    "fixed_matmul",
 ]
 
 
@@ -309,3 +312,32 @@ def divisor_sieve(n: int) -> np.ndarray:
         t[d * d] += 1
         t[d * (d + 1)::d] += 2
     return t
+
+
+# OpenBLAS multiplies a matrix by a vector on one thread below 9216 entries,
+# and two matrices on one thread up to m n k = 2^18 multiply-adds.  Above
+# that a second thread may take part of a long sum, and the bits then depend
+# on the thread count.
+_ONE_THREAD_GEMV = 9216
+_ONE_THREAD_GEMM = 1 << 18
+
+
+def fixed_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a real (m, k) matrix a and a real (k,) or (k, n) b, or a
+    complex (k,) b, with the same bits under any OpenBLAS thread count.
+
+    The inner axis is summed in blocks that OpenBLAS multiplies on one
+    thread, in a fixed order.  A complex b is two real products: no complex
+    copy of a, and no two-column GEMM, whose packing buffer stays resident.
+    """
+    if np.iscomplexobj(b):
+        re, im = (fixed_matmul(a, np.ascontiguousarray(part)) for part in (b.real, b.imag))
+        return re + 1j * im
+    m, k = a.shape
+    n = 1 if b.ndim == 1 else b.shape[1]
+    # numpy hands a product with one row or one column to GEMV
+    size = max(1, ((_ONE_THREAD_GEMV - 1) if min(m, n) == 1 else _ONE_THREAD_GEMM) // max(1, m * n))
+    out = a[:, :size] @ b[:size]
+    for lo in range(size, k, size):
+        out += a[:, lo:lo + size] @ b[lo:lo + size]
+    return out

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -440,6 +441,36 @@ class TestCli:
         assert cli.main([*argv, *extra]) == 3
         assert capsys.readouterr().err.startswith("error: t must lie in [-25, 25]")
         assert not list(tmp_path.iterdir())  # rejected before any eigendata or CSV
+
+    def test_cutoff_past_the_cap_is_a_usage_error(self, tmp_path, capsys):
+        # at t=10 the q=101 cutoff is 4194304: every prime below 4.2e6, refused up front
+        argv = ["moment", "--q", "101", "--p", "2", "--t", "10", "--tol", "1e-4",
+                "--cache-dir", str(tmp_path)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: AFE cutoff 4194304 at q=101, t=10.0, tol=0.0001 exceeds AFE_CUTOFF_MAX = 1048576")
+        assert not list(tmp_path.iterdir())
+
+    def test_sweep_cell_past_the_cap_is_an_error_row(self, tmp_path):
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--qmin", "11", "--qmax", "11", "--t", "0,20", "--tol", "1e-4",
+                "--cache-dir", str(tmp_path), "--out", str(out)]
+        assert cli.main(argv) == 3
+        lines = out.read_text().splitlines()
+        assert len(lines) == 3 and lines[1].startswith("11,2,1,0,1,") and lines[1].endswith(",512,0,")
+        assert lines[2].startswith("11,2,1,20,") and "AFE cutoff 33554432 at q=11" in lines[2]
+        assert ha.load_eigendata(tmp_path / ha.cache_file_name(11, 0))[3] == 512  # built for t=0 alone
+
+    def test_cache_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # 33 forms at q=401: the engine's products are cut to sizes OpenBLAS runs on one thread
+        caches = []
+        for n in ("1", "2"):
+            path = tmp_path / f"threads{n}.json"
+            subprocess.run([sys.executable, "-m", "lfmoments.cli", "eigendata", "--q", "401",
+                            "--n-max", "2048", "--out", str(path)], capture_output=True, timeout=600,
+                           env={**os.environ, "OPENBLAS_NUM_THREADS": n}, check=True)
+            caches.append(path.read_bytes())
+        assert caches[0] == caches[1]
 
     def test_usage_error_exit_code(self):
         out = self._run("moment", "--q", "11")

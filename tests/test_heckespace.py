@@ -246,26 +246,41 @@ class TestPathEngine:
             exact = float(sum(mat[i][i] for i in range(space.dim)))
             assert abs(math.sqrt(ell) * sum(t.lam(ell) for t in tables) - exact) < 1e-9, (q, ell)
 
-    @pytest.mark.parametrize("q", [11, 101])
-    def test_cf_counts_match_python_convergents(self, q):
-        # the engine's Moebius recurrence against P^1 indices of the convergents themselves
-        rng = np.random.default_rng(q)
-        dens = rng.integers(1, 10**6, 300).tolist() + [1, 7, q, 5 * q]
-        nums = rng.integers(-10**6, 10**6, 300).tolist() + [5, 1, 1 - 3 * q * q, 1]
+    @pytest.mark.parametrize("q", [11, 37, 101])
+    def test_heilbronn_counts_match_merel_matrices(self, q):
+        # T_ell on the symbols (0:1) and (1:v), summed over R2, against Merel's exact
+        # matrix: every prime ell <= 100 (ell = 2 included) and U_q at ell = q
         space = hs.build_space(q)
-        counts = hs._cf_counts(q, space.inv_table, [np.array([n]) for n in nums], dens)
-        for row, num, den in zip(counts, nums, dens):
-            a = num // den
-            num, den = den, num - a * den
-            hits, qprev, qcur, sgn = [0], 0, 1, 1  # step 0 hits (1:0)
-            while den:
-                a = num // den
-                num, den = den, num - a * den
-                qprev, qcur = qcur, a * qcur + qprev
-                hits.append(int(hs._p1(space.inv_table, q, qcur, sgn * qprev)))
-                sgn = -sgn
-            assert np.array_equal(row, np.bincount(hits, minlength=q + 1))
-        assert counts.sum() > 2 * len(nums)  # most paths take several steps
+        ells = np.union1d(primes_up_to(100), [q])
+        r2 = space.R2[:, :q + 1]
+        for v in sorted({1, 2, (q - 1) // 2, q - 1}):
+            acc0, accv = hs._heilbronn_counts(space, ells, v)
+            assert np.array_equal(acc0, hs._heilbronn_counts(space, ells, None)[0])
+            for ell, c0, cv in zip(ells.tolist(), acc0, accv):
+                t2 = hs._hecke2(space, ell)  # twice T_ell on the free generators
+                for x, counts in ((q, c0), (v, cv)):
+                    assert np.array_equal(counts, np.rint(counts)), (q, ell, x)
+                    # four times T_ell x: R2 and t2 each carry a factor 2
+                    four = 2 * (r2 @ counts.astype(np.int64))
+                    assert np.array_equal(four, t2 @ space.R2[:, x]), (q, ell, x)
+
+    @pytest.mark.parametrize("scale, broken", [(1.1, "is 2.00e-01 from an integer"),
+                                               (3.0, "max |lambda_f(ell)| = 2.2677")])
+    def test_certificate_names_the_first_bad_prime(self, monkeypatch, scale, broken):
+        # at q=11, a_7 = -2: scaled by 1.1 Tr T_7 = -2.2 is not an integer; scaled by 3
+        # it is -6, but |lambda_f(7)| = 6/sqrt(7) breaks Deligne's bound
+        engine = hs._heilbronn_counts
+
+        def off_at_7(space, ells, v):
+            acc0, accv = engine(space, ells, v)
+            acc0[np.asarray(ells) == 7] *= scale
+            return acc0, accv
+
+        monkeypatch.setattr(hs, "_heilbronn_counts", off_at_7)
+        space = hs.build_space(11)
+        with pytest.raises(hs.HeckeError, match=r"certificate failed at q=11, ell=7: Tr T_ell = ") as err:
+            hs.extend_prime_eigenvalues(space, hs.eigen_split(space, seed=0), 64)
+        assert broken in str(err.value)
 
     def test_table_shorter_than_five(self):
         # the exact cross-check covers only the primes 2, 3, 5 that n_max reaches
@@ -409,7 +424,7 @@ class TestFunctionalEquationSign:
 
     def test_sign_off_unit_raises(self, eigen11, monkeypatch):
         space, _ = eigen11
-        engine = hs._path_accumulators
+        engine = hs._heilbronn_counts
 
         def off_at_q(space, ells, v):  # sqrt(11) lambda_f(11) becomes 0.9
             acc0, accv = engine(space, ells, v)
@@ -419,7 +434,7 @@ class TestFunctionalEquationSign:
                 accv[at_q] *= 0.9
             return acc0, accv
 
-        monkeypatch.setattr(hs, "_path_accumulators", off_at_q)
+        monkeypatch.setattr(hs, "_heilbronn_counts", off_at_q)
         with pytest.raises(hs.IndeterminateSignError, match="q=11, form 0"):
             hs.extend_prime_eigenvalues(space, hs.eigen_split(space, seed=0), 64)
 

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -202,3 +205,34 @@ class TestWeightVector:
         mo.trace_route_moment(tables, 2, t, tol)
         assert lv.afe_weights(101, t, n, tol) is v
         assert calls == {"wt_grid": 1, "divisor_sieve": 1}
+
+
+_SYNTHETIC_SUMS = """
+import numpy as np
+from lfmoments import heckespace as hs, lvalue as lv, moments as mo
+from lfmoments.special import primes_up_to
+primes = primes_up_to(32768)
+rng = np.random.default_rng(401)
+tables = [hs.EigenformTable(q=401, index=i, n_max=32768, primes=primes, sign=1, residual=0.0,
+                            prime_lambda=rng.uniform(-2.0, 2.0, primes.size)) for i in range(33)]
+sums = [r.value for t in (0.0, 0.5) for r in lv.l_squared_many(tables, t, 1e-4)]
+sums += [mo.trace_route_moment(tables, 2, t, 1e-4) for t in (0.0, 0.5)]
+print(np.array(sums).tobytes().hex())
+"""
+
+
+def test_lattice_sums_do_not_depend_on_blas_threads():
+    # 33 forms x N = 16384, as at q=401, and the trace route's one long sum: a product
+    # that size lets a second OpenBLAS thread take part of each sum
+    outs = [subprocess.run([sys.executable, "-c", _SYNTHETIC_SUMS], capture_output=True, text=True,
+                           env={**os.environ, "OPENBLAS_NUM_THREADS": n}, timeout=600, check=True).stdout
+            for n in ("1", "2")]
+    assert len(outs[0].strip()) == 2 * 68 * 16 and outs[0] == outs[1]  # 68 complex values, in hex
+
+
+def test_cutoff_past_the_cap_raises_before_any_table():
+    assert lv.afe_cutoff(101, 1.5, 1e-4) == 4096
+    with pytest.raises(lv.CutoffCapError, match=r"AFE cutoff 4194304 at q=101, t=10.0, tol=0.0001 exceeds "
+                                                 r"AFE_CUTOFF_MAX = 1048576"):
+        lv.afe_cutoff(101, 10.0, 1e-4)
+    assert issubclass(lv.CutoffCapError, ValueError)
