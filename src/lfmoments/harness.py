@@ -74,6 +74,9 @@ class SweepConfig:
             raise ValueError("need 11 <= q_min <= q_max")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        for name, values in (("p", self.p_list), ("j", self.j_list), ("t", self.t_list)):
+            if not values:
+                raise ValueError(f"the {name} list is empty: a sweep needs at least one {name}")
         for j in self.j_list:
             if j not in (1, 2):
                 raise ValueError(f"j must be 1 or 2, got {j}")

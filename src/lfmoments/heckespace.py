@@ -25,9 +25,10 @@ Hecke operators act two ways, and the routes cross-check each other:
     used for small primes and every exact invariant (commutativity);
   * Cremona's Heilbronn matrices for eigenvalues at every prime l: the
     nearest-integer continued fractions of r/l, 1 <= r <= l/2, carry one
-    base symbol of each form, (0:1) or a shared (1:v), to its image under
-    T_l (_heilbronn_counts), and a dual eigenvector read on the counts
-    gives a_l.  About l/2 continued fractions per prime serve both bases.
+    generic base symbol (1:v), shared by every form, to its image under
+    T_l (_heilbronn_counts), and each form's dual eigenvector read on the
+    counts gives its a_l.  About l/2 continued fractions per prime serve
+    all forms.
 
 Eigenvalues are stored in the normalization lambda_f(n) = a_n / sqrt(n),
 so lambda_f(1) = 1 and the multiplicative relation of the Fourier
@@ -383,7 +384,7 @@ class EigenformTable:
     prime_lambda: np.ndarray
     sign: int
     residual: float
-    dual_vector: np.ndarray | None = None   # normalized functional on P^1 symbols
+    dual_vector: np.ndarray | None = None   # the split's functional on P^1 symbols; None once extended
     _full: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def lam(self, n: int) -> float:
@@ -490,58 +491,53 @@ _BLOCK_BINS = 1 << 16
 _KEY_BUFFER = 1 << 17
 
 
-def _heilbronn_counts(
-    space: HeckeSpace, ells: np.ndarray, v: int | None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """How often T_ell sends the base symbols (0:1) and (1:v) to each P^1
-    index: rows acc0[i] and accv[i] of q+1 counts with  a_ell d[(0:1)] =
-    d . acc0[i]  and  a_ell d[(1:v)] = d . accv[i]  for ell = ells[i] and
-    every cuspidal dual eigenvector d.  accv is None when v is None.
+def _heilbronn_counts(space: HeckeSpace, ells: np.ndarray, v: int) -> np.ndarray:
+    """How often T_ell sends the base symbol (1:v) to each P^1 index: row i
+    of the (len(ells), q+1) counts gives  a_ell d[(1:v)] = d . counts[i]  for
+    ell = ells[i] and every cuspidal dual eigenvector d.
 
     T_ell (u:w) is the sum of (u:w) M over Cremona's Heilbronn matrices of
     determinant ell (Algorithms for Modular Elliptic Curves, 1997, 2.4; Merel
-    1994).  For odd ell and |r| <= ell/2 they are the steps of the
-    nearest-integer continued fraction of r/ell: start at M = [[x1, x2],
-    [y1, y2]] = [[ell, -r], [0, 1]], and while x2 != 0 take Q = round(x1/x2)
-    and (x1, x2) <- (x2, Q x2 - x1), (y1, y2) <- (y2, Q y2 - y1).  Add
-    [[1, 0], [0, ell]].  The plus-quotient identifies (u:w) M_{-r} with
-    (u:-w) M_r, so only 1 <= r <= ell/2 is expanded: (0:1) counts twice,
-    (1:v) runs as the two states (1:v) and (1:-v), and r = 0 is the single
-    matrix [[ell, 0], [0, 1]].  ell = 2 takes r = 1 once, on (0:1) and (1:-v):
-    Sage's four matrices.  At ell = q a state whose row is 0 mod q is (0:0),
-    outside P^1; it is not counted (its bins are a trash group).
+    1994), for every Manin symbol.  For odd ell and |r| <= ell/2 they are the
+    steps of the nearest-integer continued fraction of r/ell: start at M =
+    [[x1, x2], [y1, y2]] = [[ell, -r], [0, 1]], and while x2 != 0 take Q =
+    round(x1/x2) and (x1, x2) <- (x2, Q x2 - x1), (y1, y2) <- (y2, Q y2 - y1).
+    Add [[1, 0], [0, ell]].  The plus-quotient identifies (1:v) M_{-r} with
+    (1:-v) M_r, so only 1 <= r <= ell/2 is expanded, as the two states (1:v)
+    and (1:-v), and r = 0 is the single matrix [[ell, 0], [0, 1]].  ell = 2
+    takes r = 1 once, on (1:-v): Sage's four matrices.  At ell = q a state
+    whose row is 0 mod q is (0:0), outside P^1; it is not counted (its bins
+    are a trash group).
 
     No matrix is kept.  A state's row s_i = u x_i + w y_i obeys s_{i+1} =
     Q s_i - s_{i-1}, so tau = -s_i/s_{i+1} mod q steps as tau' = -1/(tau + Q)
     (oo coded as 2q - 1, and followed by 0): one add and one gather from the
-    step table of the level, tiled over the block's bins, advance it, and
-    the rounded division is shared by the states of a continued fraction.
-    The image (s_i : s_{i+1}) has P^1 index -1/tau.  Each step's states are
-    written into one key buffer, counted by a bincount when it fills.
+    step table of the level, tiled over the block's primes, advance it, and
+    the rounded division is shared by the two states of a continued
+    fraction.  The image (s_i : s_{i+1}) has P^1 index -1/tau.  Each step's
+    states are written into one key buffer, counted by a bincount when it
+    fills.
     """
     q, inv, n = space.q, space.inv_table, len(ells)
     width, inf = 3 * q - 1, 2 * q - 1  # finite tau + Q < inf, and inf + Q < width
     step = np.concatenate([(q - inv) % q, (q - inv[:q - 1]) % q, np.zeros(q, dtype=np.int64)])
     step[[0, q]] = inf  # tau + Q = 0 mod q -> oo; oo + Q -> 0
-    sets = 1 if v is None else 2  # bin groups per prime, then one trash group
-    tiled = (width * np.arange(sets * n + 1, dtype=np.int64)[:, None] + step).ravel()
+    tiled = (width * np.arange(n + 1, dtype=np.int64)[:, None] + step).ravel()  # last: trash
     half = ells // 2
     path = np.repeat(np.arange(n), half)
     r = np.arange(1, path.size + 1) - np.repeat(np.cumsum(half) - half, half)
     ell = ells.take(path)
-    states = [width * sets * path]  # (0:1) M_r starts at (0 : 1): tau = 0
-    if v is not None:
-        base, trash = width * (sets * path + 1), width * sets * n
-        scale = inv[ells % q].take(path)  # 1/ell mod q, and 0 at ell = q
-        at_q = np.flatnonzero(ell == q)
-        for sv in (v, -v):  # (1:+-v) M_r starts at (ell : +-v - r): tau = step[(+-v - r)/ell]
-            rho = (sv - r) * scale
-            states.append(base + step.take(rho - q * (rho // q)))  # // by a scalar is far cheaper than %
-            # at ell = q: (0 : s) is oo, so tau = 0, and (0 : 0) is dropped
-            states[-1][at_q] = np.where((sv - r[at_q]) % q != 0, base[at_q], trash)
-        if ells[0] == 2:
-            states[1][0] = trash  # ell = 2 runs r = 1 once, on (1:-v) only
-    st = np.stack(states)
+    base, trash = width * path, width * n
+    scale = inv[ells % q].take(path)  # 1/ell mod q, and 0 at ell = q
+    at_q = np.flatnonzero(ell == q)
+    st = np.empty((2, path.size), dtype=np.int64)
+    for state, sv in zip(st, (v, -v)):  # (1:+-v) M_r starts at (ell : +-v - r): tau = step[(+-v - r)/ell]
+        rho = (sv - r) * scale
+        state[:] = base + step.take(rho - q * (rho // q))  # // by a scalar is far cheaper than %
+        # at ell = q: (0 : s) is oo, so tau = 0, and (0 : 0) is dropped
+        state[at_q] = np.where((sv - r[at_q]) % q != 0, base[at_q], trash)
+    if ells[0] == 2:
+        st[0, 0] = trash  # ell = 2 runs r = 1 once, on (1:-v) only
     x1, x2 = ell.astype(np.float64), -r.astype(np.float64)  # exact: |x1|, |x2| <= ell
     hits = np.zeros(tiled.size, dtype=np.int64)
     keys = np.empty(max(_KEY_BUFFER, st.size), dtype=np.int64)
@@ -561,16 +557,11 @@ def _heilbronn_counts(
         held += at.size
     hits += np.bincount(keys[:held], minlength=hits.size)
     x = np.arange(1, q)  # P^1 index rho <- tau = -1/rho: oo <- 0, 0 <- oo
-    counts = hits.reshape(-1, width)[:sets * n].take(np.concatenate([[inf], q - inv[x], [0]]), axis=1)
-    acc0 = counts[::sets] * np.where(ells == 2, 1.0, 2.0)[:, None]
-    acc0[:, q] += np.where(ells == q, 1.0, 2.0)  # [[ell, 0], [0, 1]]; [[1, 0], [0, ell]] unless ell = q
-    if v is None:
-        return acc0, None
-    accv = counts[1::sets].astype(np.float64)
+    counts = hits.reshape(-1, width)[:n].take(np.concatenate([[inf], q - inv[x], [0]]), axis=1).astype(float)
     rows = np.arange(n)
-    accv[rows, _p1(inv, q, ells, v)] += 1.0  # (1:v) [[ell, 0], [0, 1]] = (ell : v)
-    accv[rows, v * ells % q] += 1.0  # (1:v) [[1, 0], [0, ell]] = (1 : v ell)
-    return acc0, accv
+    counts[rows, _p1(inv, q, ells, v)] += 1.0  # (1:v) [[ell, 0], [0, 1]] = (ell : v)
+    counts[rows, v * ells % q] += 1.0  # (1:v) [[1, 0], [0, ell]] = (1 : v ell)
+    return counts
 
 
 def eigen_split(space: HeckeSpace, seed: int = 0) -> list[EigenformTable]:
@@ -643,14 +634,15 @@ def extend_prime_eigenvalues(
 ) -> list[EigenformTable]:
     """Fill lambda_f at every prime <= n_max through the Heilbronn engine.
 
-    Forms with |dual[(0:1)]| >= 0.1 are based at (0:1); all others share
-    one generic base (1:v), the v that maximizes their smallest |dual[v]|.
-    Each prime ell expands the ell/2 nearest-integer continued fractions of
-    r/ell once, carrying the states of (0:1), (1:v) and (1:-v) together
-    (_heilbronn_counts), whatever the number of forms.  One pass expands a
-    block of consecutive primes, and each base has one product of its duals
+    Every form is read on one generic base symbol (1:v), the v that
+    maximizes the smallest |dual[v]| over the forms; HeckeError when even
+    that is below 1e-3.  Each prime ell expands the ell/2 nearest-integer
+    continued fractions of r/ell once, carrying the states of (1:v) and
+    (1:-v) together (_heilbronn_counts), whatever the number of forms.  One
+    pass expands a block of consecutive primes, and one product of the duals
     with the block's counts, cut to sizes OpenBLAS runs on one thread
-    (fixed_matmul), so the bits do not depend on its thread count.
+    (fixed_matmul), reads all forms at once, so the bits do not depend on
+    its thread count.  The returned tables carry no dual vector.
 
     Each form's functional-equation sign is eps_f = -w_q = a_q =
     sqrt(q) lambda_f(q), weight 2 at prime level (Atkin-Lehner).  When
@@ -666,32 +658,22 @@ def extend_prime_eigenvalues(
     q = space.q
     primes = primes_up_to(n_max)
     duals = np.vstack([t.dual_vector for t in tables])
-    on_zero = np.abs(duals[:, q]) >= 0.1
-    v = None
-    denom = duals[:, q].copy()
-    if not on_zero.all():
-        worst = np.min(np.abs(duals[~on_zero, 1:q]), axis=0)
-        v = 1 + int(np.argmax(worst))
-        if worst[v - 1] < 1e-3:
-            raise HeckeError(
-                f"no well-conditioned base symbol at q={q}: the best (1:{v}) has "
-                f"min |dual| = {worst[v - 1]:.2e} < 1e-3 over the forms off (0:1)"
-            )
-        denom[~on_zero] = duals[~on_zero, v]
+    worst = np.min(np.abs(duals[:, 1:q]), axis=0)
+    v = 1 + int(np.argmax(worst))
+    if worst[v - 1] < 1e-3:
+        raise HeckeError(
+            f"no well-conditioned base symbol at q={q}: the best (1:{v}) has "
+            f"min |dual| = {worst[v - 1]:.2e} < 1e-3 over the forms"
+        )
     ells = primes if q <= n_max else np.append(primes, q)
     lam_out = np.zeros((len(tables), len(ells)), dtype=np.float64)
-    d0, dv = duals[on_zero], duals[~on_zero]
-    sets, lo = 1 if v is None else 2, 0
-    most = max(1, _BLOCK_BINS // (sets * (3 * q - 1)))  # primes that one block's bins allow
+    lo, most = 0, max(1, _BLOCK_BINS // (3 * q - 1))  # primes that one block's bins allow
     while lo < len(ells):  # a block ends at the prime that takes it to _BLOCK_PATHS paths
         paths = np.cumsum(ells[lo:lo + most] // 2)
         hi = lo + min(int(np.searchsorted(paths, _BLOCK_PATHS)) + 1, paths.size)
-        acc0, accv = _heilbronn_counts(space, ells[lo:hi], v)
-        lam_out[on_zero, lo:hi] = fixed_matmul(d0, acc0.T)
-        if v is not None:
-            lam_out[~on_zero, lo:hi] = fixed_matmul(dv, accv.T)
+        lam_out[:, lo:hi] = fixed_matmul(duals, _heilbronn_counts(space, ells[lo:hi], v).T)
         lo = hi
-    lam_out /= denom[:, None] * np.sqrt(ells)
+    lam_out /= duals[:, v, None] * np.sqrt(ells)
     # cross-check the engine against the exact-matrix Rayleigh values
     for f, t in enumerate(tables):
         for ip, ell in enumerate(primes[:3].tolist()):  # 2, 3, 5 as far as n_max reaches
@@ -722,6 +704,6 @@ def extend_prime_eigenvalues(
         )
     return [
         replace(t, n_max=int(n_max), primes=primes, prime_lambda=lam_out[f, :len(primes)],
-                sign=int(np.rint(root_q_lam[f])))
+                sign=int(np.rint(root_q_lam[f])), dual_vector=None)
         for f, t in enumerate(tables)
     ]

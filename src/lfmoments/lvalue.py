@@ -48,8 +48,10 @@ __all__ = [
 
 # The largest lattice cutoff a moment may ask for.  The cutoff grows like
 # e^{pi |t|}: at q=101 and tol 1e-4 it is 4096 at t=0 and 4194304 at t=10,
-# where the eigendata would need every prime below 4.2e6.
-AFE_CUTOFF_MAX = 1 << 20
+# where the eigendata would need every prime below 4.2e6.  The Heilbronn
+# engine costs about 4x per doubling of the cutoff (5.5 s to 32768 at
+# q=101), so a table to 2^17 takes about 90 s, and one to 2^20 hours.
+AFE_CUTOFF_MAX = 1 << 17
 
 
 class CutoffCapError(ValueError):

@@ -448,8 +448,17 @@ class TestCli:
                 "--cache-dir", str(tmp_path)]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith(
-            "error: AFE cutoff 4194304 at q=101, t=10.0, tol=0.0001 exceeds AFE_CUTOFF_MAX = 1048576")
+            "error: AFE cutoff 4194304 at q=101, t=10.0, tol=0.0001 exceeds AFE_CUTOFF_MAX = 131072")
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag", ["--p", "--j", "--t"])
+    def test_sweep_with_an_empty_list_fails(self, flag, tmp_path, capsys):
+        # an empty grid would write a header-only CSV and report success having done nothing
+        argv = ["sweep", "--qmin", "11", "--qmax", "13", "--tol", "1e-4", flag, "",
+                "--cache-dir", str(tmp_path), "--out", str(tmp_path / "e.csv")]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err.startswith(f"error: the {flag[2:]} list is empty")
+        assert not list(tmp_path.iterdir())  # rejected before any eigendata or CSV
 
     def test_sweep_cell_past_the_cap_is_an_error_row(self, tmp_path):
         out = tmp_path / "s.csv"

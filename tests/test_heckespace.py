@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lfmoments import heckespace as hs
+from lfmoments.harness import get_eigendata
 from lfmoments.special import divisor_sieve, primes_up_to
 
 from conftest import count_affine_points, eta_level11_coefficients
@@ -222,16 +223,15 @@ def _rayleigh_lambdas(space, tables, ells):
 class TestPathEngine:
     def _check_against_exact(self, space, tables, ells=(7, 11, 13)):
         q = space.q
-        on_zero = [abs(t.dual_vector[q]) >= 0.1 for t in tables]
-        assert any(on_zero) and not all(on_zero)  # both bases are exercised
+        assert {t.sign for t in tables} == {-1, 1}  # forms of both signs
         for t, exact in zip(tables, _rayleigh_lambdas(space, tables, ells)):
             for ell in ells:
                 assert abs(t.lam(ell) - exact[ell]) < 1e-9, (q, t.index, ell)
 
-    def test_both_bases_match_exact_route_level101(self, eigen101):
+    def test_engine_matches_exact_route_level101(self, eigen101):
         self._check_against_exact(*eigen101)
 
-    def test_both_bases_match_exact_route_level401(self):
+    def test_engine_matches_exact_route_level401(self):
         space = hs.build_space(401)
         tables = hs.extend_prime_eigenvalues(space, hs.eigen_split(space, 0), 64)
         self._check_against_exact(space, tables)
@@ -240,7 +240,7 @@ class TestPathEngine:
     def test_traces_match_exact_matrices_to_100(self, q, eigen_cache):
         # independent of the path engine: Tr T_ell of the exact Merel matrix, ell = q is U_q
         space, tables = eigen_cache(q)
-        assert len({abs(t.dual_vector[q]) >= 0.1 for t in tables}) == 2  # both bases
+        assert {t.sign for t in tables} == {-1, 1}  # forms of both signs
         for ell in primes_up_to(100).tolist():
             mat = hs.hecke_matrix(space, ell)
             exact = float(sum(mat[i][i] for i in range(space.dim)))
@@ -248,21 +248,19 @@ class TestPathEngine:
 
     @pytest.mark.parametrize("q", [11, 37, 101])
     def test_heilbronn_counts_match_merel_matrices(self, q):
-        # T_ell on the symbols (0:1) and (1:v), summed over R2, against Merel's exact
-        # matrix: every prime ell <= 100 (ell = 2 included) and U_q at ell = q
+        # T_ell on the symbol (1:v), summed over R2, against Merel's exact matrix:
+        # every prime ell <= 100 (ell = 2 included) and U_q at ell = q
         space = hs.build_space(q)
         ells = np.union1d(primes_up_to(100), [q])
         r2 = space.R2[:, :q + 1]
         for v in sorted({1, 2, (q - 1) // 2, q - 1}):
-            acc0, accv = hs._heilbronn_counts(space, ells, v)
-            assert np.array_equal(acc0, hs._heilbronn_counts(space, ells, None)[0])
-            for ell, c0, cv in zip(ells.tolist(), acc0, accv):
-                t2 = hs._hecke2(space, ell)  # twice T_ell on the free generators
-                for x, counts in ((q, c0), (v, cv)):
-                    assert np.array_equal(counts, np.rint(counts)), (q, ell, x)
-                    # four times T_ell x: R2 and t2 each carry a factor 2
-                    four = 2 * (r2 @ counts.astype(np.int64))
-                    assert np.array_equal(four, t2 @ space.R2[:, x]), (q, ell, x)
+            counts = hs._heilbronn_counts(space, ells, v)
+            assert counts.shape == (len(ells), q + 1)
+            for ell, row in zip(ells.tolist(), counts):
+                assert np.array_equal(row, np.rint(row)), (q, ell, v)
+                # four times T_ell (1:v): R2 and _hecke2 each carry a factor 2
+                four = 2 * (r2 @ row.astype(np.int64))
+                assert np.array_equal(four, hs._hecke2(space, ell) @ space.R2[:, v]), (q, ell, v)
 
     @pytest.mark.parametrize("scale, broken", [(1.1, "is 2.00e-01 from an integer"),
                                                (3.0, "max |lambda_f(ell)| = 2.2677")])
@@ -272,9 +270,9 @@ class TestPathEngine:
         engine = hs._heilbronn_counts
 
         def off_at_7(space, ells, v):
-            acc0, accv = engine(space, ells, v)
-            acc0[np.asarray(ells) == 7] *= scale
-            return acc0, accv
+            counts = engine(space, ells, v)
+            counts[np.asarray(ells) == 7] *= scale
+            return counts
 
         monkeypatch.setattr(hs, "_heilbronn_counts", off_at_7)
         space = hs.build_space(11)
@@ -289,17 +287,30 @@ class TestPathEngine:
         assert tables[0].primes.tolist() == [2, 3]
         assert abs(tables[0].lam(3) + 1.0 / math.sqrt(3)) < 1e-10
 
+    def test_smallest_margin_level_extends(self):
+        # q=4799 has the smallest best-base margin, min_f |dual_f[v]| = 4.66e-3, of
+        # every prime level the space builds
+        space = hs.build_space(4799)
+        split = hs.eigen_split(space, 0)
+        duals = np.abs(np.vstack([t.dual_vector for t in split]))[:, 1:4799]
+        assert np.max(np.min(duals, axis=0)) > 1e-3
+        tables = hs.extend_prime_eigenvalues(space, split, 64)  # the certificate passes
+        assert len(tables) == space.dim and all(t.sign in (-1, 1) for t in tables)
+
+    def test_extended_tables_carry_no_duals(self, eigen37, tmp_path):
+        _, tables = eigen37
+        assert tables and all(t.dual_vector is None for t in tables)
+        for _ in range(2):  # built, then loaded from the cache
+            cached = get_eigendata(37, 64, cache_dir=tmp_path)
+            assert cached and all(t.dual_vector is None for t in cached)
+
     def test_ill_conditioned_base_raises(self):
         space = hs.build_space(37)
         tables = hs.eigen_split(space, 0)
-        # shrink the generic-base entries of every form that (0:1) cannot serve
-        bad = []
-        for t in tables:
-            dual = t.dual_vector.copy()
-            if abs(dual[37]) < 0.1:
-                dual[1:37] *= 1e-4
-            bad.append(dataclasses.replace(t, dual_vector=dual))
-        assert any(abs(t.dual_vector[37]) < 0.1 for t in bad)
+        # shrink every candidate base entry (1:v), 1 <= v <= q-1, of one form
+        dual = tables[0].dual_vector.copy()
+        dual[1:37] *= 1e-4
+        bad = [dataclasses.replace(tables[0], dual_vector=dual), *tables[1:]]
         with pytest.raises(hs.HeckeError, match=r"no well-conditioned base symbol at q=37.*< 1e-3"):
             hs.extend_prime_eigenvalues(space, bad, 64)
 
@@ -427,12 +438,9 @@ class TestFunctionalEquationSign:
         engine = hs._heilbronn_counts
 
         def off_at_q(space, ells, v):  # sqrt(11) lambda_f(11) becomes 0.9
-            acc0, accv = engine(space, ells, v)
-            at_q = np.array(ells) == space.q
-            acc0[at_q] *= 0.9
-            if accv is not None:
-                accv[at_q] *= 0.9
-            return acc0, accv
+            counts = engine(space, ells, v)
+            counts[np.asarray(ells) == space.q] *= 0.9
+            return counts
 
         monkeypatch.setattr(hs, "_heilbronn_counts", off_at_q)
         with pytest.raises(hs.IndeterminateSignError, match="q=11, form 0"):

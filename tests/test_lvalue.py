@@ -233,6 +233,6 @@ def test_lattice_sums_do_not_depend_on_blas_threads():
 def test_cutoff_past_the_cap_raises_before_any_table():
     assert lv.afe_cutoff(101, 1.5, 1e-4) == 4096
     with pytest.raises(lv.CutoffCapError, match=r"AFE cutoff 4194304 at q=101, t=10.0, tol=0.0001 exceeds "
-                                                 r"AFE_CUTOFF_MAX = 1048576"):
+                                                 r"AFE_CUTOFF_MAX = 131072"):
         lv.afe_cutoff(101, 10.0, 1e-4)
     assert issubclass(lv.CutoffCapError, ValueError)
